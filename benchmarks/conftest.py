@@ -1,8 +1,8 @@
 """Shared helpers for the benchmark harness.
 
 Every benchmark regenerates one table or figure of the paper, prints it, and
-writes it to ``benchmarks/output/<name>.txt`` so EXPERIMENTS.md can snapshot
-the results.
+writes it to ``benchmarks/output/<name>.txt``, where the committed copy
+records the last run's results.
 """
 
 import pathlib

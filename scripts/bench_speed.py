@@ -27,12 +27,9 @@ sparse patched LPs) and the from-scratch FlowNetwork / dense-LP reference —
 and merges them under ``fractional_results`` the same way.
 
 ``--incremental`` runs the incremental-engine scenarios — long best-response
-walks, single-deviation equilibrium rechecks, and the restricted exhaustive
-sweep — against a reconstruction of the PR 3 engine
-(``CostEngine(game, incremental=False, vectorized=False)``: drop-on-sync
-invalidation, per-element scoring loops).  The recheck row additionally
-isolates the repair win by timing ``incremental=False`` with vectorisation
-kept on.  Results merge under ``incremental_results``.
+walks and single-deviation equilibrium rechecks, where the engine repairs
+its cached rows in place — against the dict-based reference
+(``engine=False``).  Results merge under ``incremental_results``.
 
 ``--backend`` runs the traversal-backend scenarios — equilibrium reports
 with per-node restricted candidate targets at n in {64, 256, 1024} on a
@@ -40,8 +37,8 @@ uniform (BFS-backed) and an integer-weighted (Dijkstra-backed) game, plus
 whole-profile ``all_costs`` sweeps at the largest size — timing
 ``CostEngine(game, backend="python")`` (list kernels) against
 ``backend="numpy"`` (vectorised frontier kernels).  On top of those, the
-giant-batch scenarios time whole reports against the per-node-batch path
-(``giant_batch=False``) at n = 4096 on both kernels plus a giant-only
+giant-batch scenarios time whole reports against the same probes run node
+by node without a report plan at n = 4096 on both kernels plus a giant-only
 n = 16384 BFS report, each row carrying a bottleneck profile (in-kernel
 traversal seconds vs scoring/enumeration) and the engine's cache counters
 (chunk evictions, rows per giant traversal, recomputes after eviction).
@@ -76,6 +73,7 @@ import pathlib
 import platform
 import sys
 import time
+from typing import Callable, NamedTuple, Optional
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
@@ -83,6 +81,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 from repro.core import (  # noqa: E402
     FractionalBBCGame,
     UniformBBCGame,
+    best_response,
     epsilon_equilibrium_report,
     equilibrium_report,
     exhaustive_equilibrium_search,
@@ -117,8 +116,8 @@ SHARDED_SCALING_FLOOR = 1.0
 #: the FlowNetwork / dense-LP reference at the largest size benchmarked.
 FRACTIONAL_SPEEDUP_FLOOR = 3.0
 #: The long-walk incremental scenario at the largest size must stay at least
-#: this much faster than the reconstructed PR 3 engine.
-INCREMENTAL_WALK_FLOOR = 2.0
+#: this much faster than the dict-based reference.
+INCREMENTAL_WALK_FLOOR = 9.6
 #: The core equilibrium_report scenario must stay at least this much faster
 #: than the dict-based oracle at every benchmarked n >= 32.
 CORE_REPORT_FLOOR = 3.0
@@ -126,8 +125,8 @@ CORE_REPORT_FLOOR = 3.0
 #: stay at least this much faster on the numpy kernels than the list kernels.
 BACKEND_DIJKSTRA_FLOOR = 3.0
 #: The giant-batch BFS report at its largest compared size must stay at
-#: least this much faster than the per-node-batch path (giant_batch=False)
-#: on the same numpy kernels.
+#: least this much faster than the same probes run node by node without a
+#: report plan, on the same numpy kernels.
 BACKEND_GIANT_FLOOR = 3.0
 #: The service load generator (``scripts/bench_service.py``) must sustain at
 #: least this many queries per second across its whole catalog; the floor is
@@ -422,13 +421,8 @@ def bench_fractional_report(n, repeats, game, profile):
     }
 
 
-def _pr3_engine(game):
-    """Reconstruct the PR 3 engine: drop-on-sync rows, per-element scoring."""
-    return CostEngine(game, incremental=False, vectorized=False)
-
-
 def bench_incremental_walk(n, rounds, repeats):
-    """Long deviating walk: default engine vs the reconstructed PR 3 engine."""
+    """Long deviating walk: default engine vs the dict-based reference."""
     game = UniformBBCGame(n, K)
     initial = random_initial_profile(game, seed=PROFILE_SEED)
 
@@ -436,10 +430,10 @@ def bench_incremental_walk(n, rounds, repeats):
         return run_best_response_walk(game, initial, max_rounds=rounds, engine=engine)
 
     new_time, new_result = time_call(lambda: run(CostEngine(game)), repeats)
-    pr3_time, pr3_result = time_call(lambda: run(_pr3_engine(game)), repeats)
-    assert pr3_result.final_profile == new_result.final_profile
-    assert pr3_result.probes == new_result.probes
-    assert pr3_result.deviations == new_result.deviations
+    reference_time, reference_result = time_call(lambda: run(False), repeats)
+    assert reference_result.final_profile == new_result.final_profile
+    assert reference_result.probes == new_result.probes
+    assert reference_result.deviations == new_result.deviations
     return {
         "task": "incremental_walk",
         "n": n,
@@ -448,8 +442,8 @@ def bench_incremental_walk(n, rounds, repeats):
         "probes": new_result.probes,
         "deviations": new_result.deviations,
         "engine_seconds": new_time,
-        "reference_seconds": pr3_time,
-        "speedup": pr3_time / new_time,
+        "reference_seconds": reference_time,
+        "speedup": reference_time / new_time,
     }
 
 
@@ -457,10 +451,9 @@ def bench_incremental_recheck(n, steps, repeats):
     """Equilibrium rechecks after single deviations: the repair hot path.
 
     A warmed engine re-certifies the profile after each of ``steps``
-    single-node perturbations.  The default engine repairs its cached rows
-    and patches the batched cost vectors in place; ``incremental=False``
-    (drop) recomputes every invalidated row, and the PR 3 reconstruction
-    additionally loses the vectorised scoring.
+    single-node perturbations, repairing its cached rows and patching the
+    batched cost vectors in place; the reference re-derives every report
+    from scratch.
     """
     import random as random_module
 
@@ -480,7 +473,8 @@ def bench_incremental_recheck(n, steps, repeats):
         regrets = None
         for _ in range(repeats):
             engine = make_engine()
-            equilibrium_report(game, sequence[0], engine=engine)  # warm
+            if engine is not False:  # the reference keeps no state to warm
+                equilibrium_report(game, sequence[0], engine=engine)
             start = time.perf_counter()
             regrets = [
                 equilibrium_report(game, p, engine=engine).max_regret
@@ -492,48 +486,16 @@ def bench_incremental_recheck(n, steps, repeats):
         return best, regrets
 
     repair_time, repair_regrets = timed(lambda: CostEngine(game))
-    drop_time, drop_regrets = timed(lambda: CostEngine(game, incremental=False))
-    pr3_time, pr3_regrets = timed(lambda: _pr3_engine(game))
-    assert repair_regrets == drop_regrets == pr3_regrets
+    reference_time, reference_regrets = timed(lambda: False)
+    assert repair_regrets == reference_regrets
     return {
         "task": "incremental_recheck",
         "n": n,
         "k": K,
         "perturbations": steps,
         "engine_seconds": repair_time,
-        "drop_seconds": drop_time,
-        "reference_seconds": pr3_time,
-        "speedup": pr3_time / repair_time,
-        "repair_vs_drop": drop_time / repair_time,
-    }
-
-
-def bench_incremental_sweep(repeats, smoke):
-    """Restricted exhaustive sweep: default engine vs the PR 3 reconstruction."""
-    game = UniformBBCGame(7, K)
-    sets = candidate_strategy_sets(game, None, None)
-    free = 2 if smoke else 3
-    candidates = {node: sets[node][:1] for node in range(free, 7)}
-    kwargs = dict(candidate_strategies=candidates, stop_at_first=False)
-
-    new_time, new_summary = time_call(
-        lambda: exhaustive_equilibrium_search(game, engine=CostEngine(game), **kwargs),
-        repeats,
-    )
-    pr3_time, pr3_summary = time_call(
-        lambda: exhaustive_equilibrium_search(game, engine=_pr3_engine(game), **kwargs),
-        repeats,
-    )
-    assert pr3_summary == new_summary
-    return {
-        "task": "incremental_sweep",
-        "n": 7,
-        "k": K,
-        "free_nodes": free,
-        "profiles": new_summary.profiles_examined,
-        "engine_seconds": new_time,
-        "reference_seconds": pr3_time,
-        "speedup": pr3_time / new_time,
+        "reference_seconds": reference_time,
+        "speedup": reference_time / repair_time,
     }
 
 
@@ -652,21 +614,30 @@ def bench_backend_all_costs(game, kernel, n, repeats):
     }
 
 
-def _timed_giant_report(game, profile, candidates, backend, giant_batch, repeats):
-    """Best time of a report on a cold engine; returns the best run's engine too."""
+def _timed_cold(game, backend, run, repeats):
+    """Best time of ``run(engine)`` on a cold engine; returns the best run's
+    result and engine too."""
     best = None
-    report = None
+    result = None
     engine = None
     for _ in range(repeats):
-        candidate_engine = CostEngine(game, backend=backend, giant_batch=giant_batch)
+        candidate_engine = CostEngine(game, backend=backend)
         start = time.perf_counter()
-        result = equilibrium_report(
-            game, profile, candidates=candidates, engine=candidate_engine
-        )
+        candidate_result = run(candidate_engine)
         elapsed = time.perf_counter() - start
         if best is None or elapsed < best:
-            best, report, engine = elapsed, result, candidate_engine
-    return best, report, engine
+            best, result, engine = elapsed, candidate_result, candidate_engine
+    return best, result, engine
+
+
+def _per_node_responses(game, profile, candidates, engine):
+    """A report's probes run node by node, with no report plan installed."""
+    return {
+        node: best_response(
+            game, profile, node, candidates=candidates.get(node), engine=engine
+        )
+        for node in game.nodes
+    }
 
 
 def bench_backend_giant_report(
@@ -680,12 +651,12 @@ def bench_backend_giant_report(
 ):
     """Giant chunked multi-mask traversals vs the per-node-batch path.
 
-    Both arms run the same kernels on the same restricted-candidate report;
+    Both arms run the same kernels on the same restricted-candidate probes;
     the only difference is whether ``equilibrium_report``'s staged row plan
-    fills the cache in giant per-row-masked chunks (``giant_batch=True``,
-    the default) or one small batch per probed node (``giant_batch=False``,
-    the PR 5 behaviour).  The row doubles as a bottleneck profile:
-    ``traversal_seconds`` is the engine's in-kernel time and
+    fills the cache in giant per-row-masked chunks, or the probes run node
+    by node without a plan, one small batch per probed node.  The row
+    doubles as a bottleneck profile: ``traversal_seconds`` is the engine's
+    in-kernel time and
     ``scoring_seconds`` the rest of the report (candidate enumeration,
     vectorised scoring, bookkeeping), so the trajectory records where the
     next optimisation target sits.  ``include_reference=False`` records a
@@ -693,8 +664,11 @@ def bench_backend_giant_report(
     """
     profile = random_initial_profile(game, seed=PROFILE_SEED)
     candidates = _backend_candidates(game, candidates_per_node, seed=11)
-    giant_time, report, engine = _timed_giant_report(
-        game, profile, candidates, backend, True, repeats
+    giant_time, report, engine = _timed_cold(
+        game,
+        backend,
+        lambda e: equilibrium_report(game, profile, candidates=candidates, engine=e),
+        repeats,
     )
     stats = engine.snapshot_stats()
     row = {
@@ -722,10 +696,13 @@ def bench_backend_giant_report(
         "memory_budget_bytes": stats["memory_budget_bytes"],
     }
     if include_reference:
-        per_node_time, per_node_report, _ = _timed_giant_report(
-            game, profile, candidates, backend, False, repeats
+        per_node_time, per_node_responses, _ = _timed_cold(
+            game,
+            backend,
+            lambda e: _per_node_responses(game, profile, candidates, e),
+            repeats,
         )
-        assert per_node_report.responses == report.responses
+        assert per_node_responses == report.responses
         row["reference_seconds"] = per_node_time
         row["speedup"] = per_node_time / giant_time
     print(
@@ -841,136 +818,120 @@ def run_backend_scenarios(args, repeats):
 # --------------------------------------------------------------------- #
 # Floor checks (shared by post-run gating and --check-floors)
 # --------------------------------------------------------------------- #
-def _core_floor_violations(rows):
-    return [
-        f"core: equilibrium_report speedup {row['speedup']:.2f}x at n={row['n']} "
-        f"is below {CORE_REPORT_FLOOR:g}x"
-        for row in rows
-        if row["task"] == "equilibrium_report"
-        and "speedup" in row
-        and row["n"] >= 32
-        and row["speedup"] < CORE_REPORT_FLOOR
-    ]
+class Floor(NamedTuple):
+    """One enforced floor: ``metric >= floor`` on ``mode``'s ``task`` rows.
+
+    ``select`` is ``"each"`` (every eligible row is gated) or ``"largest"``
+    (only the eligible row with the largest ``n``: the floor certifies the
+    asymptotic win).  A row is eligible when it carries ``metric`` — rows
+    that record no comparison, such as giant-only sizes, are never gated —
+    and passes ``condition``.
+    """
+
+    mode: str
+    task: str
+    select: str
+    metric: str
+    floor: float
+    condition: Optional[Callable[[dict], bool]] = None
+    unit: str = "x"
 
 
-def _sweep_floor_violations(rows):
-    violations = [
-        f"sweep: exhaustive_search speedup {row['speedup']:.2f}x is below "
-        f"{SWEEP_SPEEDUP_FLOOR:g}x"
-        for row in rows
-        if row["task"] == "exhaustive_search" and row["speedup"] < SWEEP_SPEEDUP_FLOOR
-    ]
-    violations.extend(
-        f"sweep: sharded_search scaling {row['scaling']:.2f}x with "
-        f"{row['processes']} workers on {row['cpus']} CPUs is below "
-        f"{SHARDED_SCALING_FLOOR:g}x"
-        for row in rows
-        if row["task"] == "sharded_search"
-        and row.get("processes", 1) >= 2
-        and (row.get("cpus") or 1) >= 2
-        and row["scaling"] < SHARDED_SCALING_FLOOR
-    )
-    return violations
+FLOORS = (
+    Floor(
+        "core", "equilibrium_report", "each", "speedup", CORE_REPORT_FLOOR,
+        condition=lambda row: row["n"] >= 32,
+    ),
+    Floor("sweep", "exhaustive_search", "each", "speedup", SWEEP_SPEEDUP_FLOOR),
+    Floor(
+        "sweep", "sharded_search", "each", "scaling", SHARDED_SCALING_FLOOR,
+        condition=lambda row: row.get("processes", 1) >= 2
+        and (row.get("cpus") or 1) >= 2,
+    ),
+    Floor(
+        "fractional", "fractional_dynamics", "largest", "speedup",
+        FRACTIONAL_SPEEDUP_FLOOR,
+    ),
+    Floor(
+        "incremental", "incremental_walk", "largest", "speedup",
+        INCREMENTAL_WALK_FLOOR,
+    ),
+    Floor(
+        "backend", "backend_dijkstra_report", "largest", "speedup",
+        BACKEND_DIJKSTRA_FLOOR,
+    ),
+    Floor(
+        "backend", "backend_giant_bfs_report", "largest", "speedup",
+        BACKEND_GIANT_FLOOR,
+    ),
+    Floor("service", "service_total", "each", "qps", SERVICE_QPS_FLOOR, unit=" q/s"),
+    Floor(
+        "service", "service_total", "each", "coalescing_factor",
+        SERVICE_COALESCING_FLOOR, unit="",
+    ),
+)
+
+#: mode -> (results key, meta key) in ``BENCH_speed.json``.  Smoke-recorded
+#: modes are skipped: smoke sizes are deliberately tiny and their ratios are
+#: noise.  The service mode records into ``BENCH_service.json`` instead.
+RECORDED_MODES = {
+    "core": ("results", "core_meta"),
+    "sweep": ("sweep_results", "sweep_meta"),
+    "fractional": ("fractional_results", "fractional_meta"),
+    "incremental": ("incremental_results", "incremental_meta"),
+    "backend": ("backend_results", "backend_meta"),
+}
 
 
-def _largest_row(rows, task):
-    matching = [row for row in rows if row["task"] == task]
-    return max(matching, key=lambda row: row["n"]) if matching else None
-
-
-def _fractional_floor_violations(rows):
-    largest = _largest_row(rows, "fractional_dynamics")
-    if largest is not None and largest["speedup"] < FRACTIONAL_SPEEDUP_FLOOR:
-        return [
-            f"fractional: fractional_dynamics speedup {largest['speedup']:.2f}x at "
-            f"n={largest['n']} is below {FRACTIONAL_SPEEDUP_FLOOR:g}x"
-        ]
-    return []
-
-
-def _incremental_floor_violations(rows):
-    largest = _largest_row(rows, "incremental_walk")
-    if largest is not None and largest["speedup"] < INCREMENTAL_WALK_FLOOR:
-        return [
-            f"incremental: incremental_walk speedup {largest['speedup']:.2f}x at "
-            f"n={largest['n']} is below {INCREMENTAL_WALK_FLOOR:g}x"
-        ]
-    return []
-
-
-def _backend_floor_violations(rows):
+def mode_floor_violations(mode, rows):
+    """Return every floor violation of ``mode``'s recorded ``rows``."""
     violations = []
-    largest = _largest_row(rows, "backend_dijkstra_report")
-    if largest is not None and largest["speedup"] < BACKEND_DIJKSTRA_FLOOR:
-        violations.append(
-            f"backend: backend_dijkstra_report speedup {largest['speedup']:.2f}x at "
-            f"n={largest['n']} is below {BACKEND_DIJKSTRA_FLOOR:g}x"
-        )
-    # The giant-only rows (no per-node arm at the largest sizes) carry no
-    # speedup; the floor gates the largest *compared* giant BFS report.
-    compared = [
-        row
-        for row in rows
-        if row["task"] == "backend_giant_bfs_report" and "speedup" in row
-    ]
-    if compared:
-        largest = max(compared, key=lambda row: row["n"])
-        if largest["speedup"] < BACKEND_GIANT_FLOOR:
-            violations.append(
-                f"backend: backend_giant_bfs_report speedup "
-                f"{largest['speedup']:.2f}x at n={largest['n']} is below "
-                f"{BACKEND_GIANT_FLOOR:g}x"
-            )
+    for spec in FLOORS:
+        if spec.mode != mode:
+            continue
+        eligible = [
+            row
+            for row in rows
+            if row.get("task") == spec.task
+            and spec.metric in row
+            and (spec.condition is None or spec.condition(row))
+        ]
+        if spec.select == "largest" and eligible:
+            eligible = [max(eligible, key=lambda row: row["n"])]
+        for row in eligible:
+            value = row[spec.metric]
+            if value < spec.floor:
+                at = f" at n={row['n']}" if "n" in row else ""
+                violations.append(
+                    f"{mode}: {spec.task} {spec.metric} {value:.2f}{spec.unit}{at} "
+                    f"is below {spec.floor:g}{spec.unit}"
+                )
     return violations
 
 
 def _service_floor_violations(rows):
     """Floor checks for the ``BENCH_service.json`` load-generator recording."""
-    total = next((row for row in rows if row.get("task") == "service_total"), None)
-    if total is None:
+    if not any(row.get("task") == "service_total" for row in rows):
         return ["service: recording has no service_total row"]
-    violations = []
-    if total["qps"] < SERVICE_QPS_FLOOR:
-        violations.append(
-            f"service: total throughput {total['qps']:.1f} q/s is below "
-            f"{SERVICE_QPS_FLOOR:g} q/s"
-        )
-    if total["coalescing_factor"] < SERVICE_COALESCING_FLOOR:
-        violations.append(
-            f"service: batch coalescing factor {total['coalescing_factor']:.2f} "
-            f"is below {SERVICE_COALESCING_FLOOR:g}"
-        )
-    return violations
+    return mode_floor_violations("service", rows)
 
 
-#: mode -> (results key, meta key, checker).  Smoke-recorded rows are skipped:
-#: smoke sizes are deliberately tiny and their ratios are noise, exactly as
-#: the per-mode post-run gates always treated them.
-FLOOR_CHECKS = {
-    "core": ("results", "core_meta", _core_floor_violations),
-    "sweep": ("sweep_results", "sweep_meta", _sweep_floor_violations),
-    "fractional": ("fractional_results", "fractional_meta", _fractional_floor_violations),
-    "incremental": (
-        "incremental_results",
-        "incremental_meta",
-        _incremental_floor_violations,
-    ),
-    "backend": ("backend_results", "backend_meta", _backend_floor_violations),
-}
+def _checked_modes(payload):
+    return [
+        mode
+        for mode, (results_key, meta_key) in RECORDED_MODES.items()
+        if payload.get(results_key) and not payload.get(meta_key, {}).get("smoke")
+    ]
 
 
 def floor_violations(payload, only_mode=None):
     """Return every floor violation recorded in ``payload`` (non-smoke rows)."""
     violations = []
-    for mode, (results_key, meta_key, checker) in FLOOR_CHECKS.items():
-        if only_mode is not None and mode != only_mode:
-            continue
-        rows = payload.get(results_key)
-        if not rows:
-            continue
-        if payload.get(meta_key, {}).get("smoke"):
-            continue
-        violations.extend(checker(rows))
+    for mode in _checked_modes(payload):
+        if only_mode is None or mode == only_mode:
+            violations.extend(
+                mode_floor_violations(mode, payload[RECORDED_MODES[mode][0]])
+            )
     return violations
 
 
@@ -1003,11 +964,7 @@ def check_floors(json_path, service_json_path=None):
         )
         return 2
     violations = floor_violations(payload)
-    checked = [
-        mode
-        for mode, (results_key, meta_key, _) in FLOOR_CHECKS.items()
-        if payload.get(results_key) and not payload.get(meta_key, {}).get("smoke")
-    ]
+    checked = _checked_modes(payload)
     if service_json_path is None:
         service_json_path = json_path.parent / "BENCH_service.json"
     if service_json_path.exists():
@@ -1041,7 +998,11 @@ def check_floors(json_path, service_json_path=None):
 README_TABLE_TASKS = (
     ("results", "equilibrium_report", "Equilibrium report (flat-array engine vs dict oracle)"),
     ("sweep_results", "exhaustive_search", "Exhaustive sweep (Gray-code + memoised engine)"),
-    ("incremental_results", "incremental_walk", "Best-response walk (incremental row repair)"),
+    (
+        "incremental_results",
+        "incremental_walk",
+        "Best-response walk (incremental engine vs dict oracle)",
+    ),
     ("fractional_results", "fractional_dynamics", "Fractional dynamics (warm LP engine vs reference)"),
     ("backend_results", "backend_dijkstra_report", "Dijkstra report (numpy kernels vs list kernels)"),
     ("backend_results", "backend_giant_bfs_report", "Giant-batch BFS report (vs per-node batches)"),
@@ -1142,14 +1103,12 @@ def run_incremental_scenarios(args, repeats):
     rounds = 6 if args.smoke else 30
     rows = []
     for n in sizes:
-        print(f"benchmarking incremental walk n={n} (engine vs PR 3 reconstruction) ...")
+        print(f"benchmarking incremental walk n={n} (engine vs reference) ...")
         rows.append(bench_incremental_walk(n, rounds, repeats))
     n = 16 if args.smoke else 64
     steps = 4 if args.smoke else 12
     print(f"benchmarking single-deviation equilibrium rechecks n={n} ...")
     rows.append(bench_incremental_recheck(n, steps, repeats))
-    print("benchmarking incremental sweep (exhaustive search) ...")
-    rows.append(bench_incremental_sweep(repeats, args.smoke))
     return sizes, rows
 
 
@@ -1188,9 +1147,9 @@ def main():
     parser.add_argument(
         "--incremental",
         action="store_true",
-        help="run the incremental-engine scenarios (long walks, "
-        "single-deviation equilibrium rechecks, restricted exhaustive sweep) "
-        "against a reconstruction of the PR 3 engine",
+        help="run the incremental-engine scenarios (long walks and "
+        "single-deviation equilibrium rechecks) against the dict-based "
+        "reference",
     )
     parser.add_argument(
         "--backend",

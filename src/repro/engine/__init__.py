@@ -46,10 +46,9 @@ rows are **bit-identical** to recomputation; derived rows (through rows,
 penalty-substituted slices, batched combination cost vectors) are patched at
 the touched indices only.  When repair would not pay — more pending net
 movers than ``_repair_edit_limit`` (the affected region would approach the
-whole row), a row older than the ``REPAIR_LOG_LIMIT``-entry log, tiny games
-where a fresh BFS is cheaper, or ``incremental=False`` (the PR 3 baseline
-behaviour) — the engine falls back to drop-and-recompute, which remains the
-reference semantics.  ``tests/test_engine_parity.py`` pins repaired rows,
+whole row), a row older than the ``REPAIR_LOG_LIMIT``-entry log, or tiny
+games where a fresh BFS is cheaper — the engine falls back to
+drop-and-recompute, which remains the reference semantics.  ``tests/test_engine_parity.py`` pins repaired rows,
 costs, and walk traces against full recomputation across randomized
 single-node edit sequences.
 
@@ -121,9 +120,14 @@ whose base was dropped — and never silent: ``stats["rows_evicted"]`` /
 rows that re-entered by recomputation, and :meth:`CostEngine.cache_bytes` /
 :meth:`CostEngine.snapshot_stats` expose the live footprint.  An evicted row
 re-enters only through full recomputation (its version stamp is gone with
-it), so eviction composes with repair without a staleness hazard;
-``tests/test_row_cache.py`` drives a long budget-starved walk at n = 1024
-and pins bytes <= budget throughout with bit-identical results.
+it), so eviction composes with repair without a staleness hazard.  The
+probed node is exempt from the eviction its own fill triggers; when every
+remaining chunk holds it (typically one giant-batch chunk after a report),
+its chunk-mates are evicted without it, so the cache never exceeds the
+budget by more than the probed node's working set.
+``tests/test_row_cache.py`` drives a long budget-starved walk at n = 1024,
+and a stream of probes after a report, and pins that bound throughout with
+bit-identical results.
 
 **The vectorised scoring spec.**  When numpy is importable (optional — every
 path degrades to the original loops without it), scoring of SUM-objective

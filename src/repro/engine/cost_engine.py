@@ -21,9 +21,14 @@ the dynamic-SSSP kernels (:func:`~repro.graphs.int_kernels.repair_hops_csr`
 / :func:`~repro.graphs.int_kernels.repair_dijkstra_csr`) — bounded
 re-relaxation of only the region the arc changes could have reached, instead
 of a fresh traversal.  A multi-node change, or a row that has fallen behind
-the edit log, resets to a full recompute.  Pass ``incremental=False`` to get
-the PR 3 drop-everything-but-the-mover behaviour (the baseline of
-``scripts/bench_speed.py --incremental``).
+the edit log, resets to a full recompute.
+
+Every fresh row — a single :meth:`CostEngine.env_row` miss, a per-node
+prefetch batch, a giant-batch chunk, an ``all_costs`` sweep — goes through
+one kernel choice (:meth:`CostEngine._traverse`: backend, uniform or
+weighted lengths, exact-int lengths, one source or many) and, when it is
+cached, one store path (:meth:`CostEngine._store`: row caches, counters,
+ledger charge).
 
 Memory is bounded in *bytes*, not rows: every cached row is charged to a
 :class:`~repro.engine.row_store.ChunkLedger` and whole LRU chunks are
@@ -50,10 +55,8 @@ from ..core.objectives import Objective
 from ..core.profile import StrategyProfile
 from ..graphs.int_kernels import (
     bfs_hops_csr,
-    bfs_hops_csr_multi,
     build_csr,
     dijkstra_csr,
-    dijkstra_csr_multi,
     repair_dijkstra_csr,
     repair_hops_csr,
     scaled_float_row,
@@ -126,9 +129,10 @@ def default_memory_budget(n: int) -> int:
 
 def _payload_nbytes(row) -> int:
     """Byte charge of one cached row (numpy's real nbytes, 8/entry for lists)."""
-    nbytes = getattr(row, "nbytes", None)
-    if nbytes is not None:
-        return int(nbytes)
+    if type(row) is not list:  # lists skip the failing attribute lookup
+        nbytes = getattr(row, "nbytes", None)
+        if nbytes is not None:
+            return int(nbytes)
     return 8 * len(row)
 
 
@@ -204,23 +208,16 @@ class CostEngine:
     :meth:`all_costs`, and :meth:`scorer` evaluate costs against the cached
     snapshot.  All results are bit-identical to the reference
     :class:`~repro.core.best_response.DeviationOracle` / dict-BFS path; the
-    parity tests in ``tests/test_engine_parity.py`` enforce this.
+    parity tests in ``tests/test_engine_parity.py`` enforce this.  Cached
+    distance rows are repaired in place across single-node profile steps
+    whenever the edit log and the repair policy allow it (see
+    :meth:`_ensure_current`), and recomputed otherwise.
 
-    ``incremental`` (default ``True``) enables lazy in-place repair of
-    cached distance rows across single-node profile steps; ``False``
-    restores the PR 3 behaviour of dropping every non-mover row on each
-    local sync.  ``vectorized`` (default ``True``) enables the numpy-backed
-    scoring fast paths; ``False`` keeps the original per-element loops.
-    ``CostEngine(game, incremental=False, vectorized=False)`` therefore
-    reconstructs the PR 3 engine, which is the baseline of
-    ``scripts/bench_speed.py --incremental``.
-
-    ``backend`` selects the traversal kernels (independently of the scoring
-    ``vectorized`` flag): ``"python"`` pins the list kernels of
-    :mod:`repro.graphs.int_kernels`, ``"numpy"`` the array kernels of
-    :mod:`repro.graphs.int_kernels_np`, and ``None`` / ``"auto"`` (the
-    default) picks numpy when it is importable and the game is at or above
-    the size crossover (:data:`NUMPY_BACKEND_MIN_N`, or
+    ``backend`` selects the traversal kernels: ``"python"`` pins the list
+    kernels of :mod:`repro.graphs.int_kernels`, ``"numpy"`` the array
+    kernels of :mod:`repro.graphs.int_kernels_np`, and ``None`` /
+    ``"auto"`` (the default) picks numpy when it is importable and the game
+    is at or above the size crossover (:data:`NUMPY_BACKEND_MIN_N`, or
     :data:`NUMPY_BACKEND_MIN_N_UNIFORM` for uniform-length games).  On the
     numpy backend cached rows are float64/int64 arrays instead of lists;
     every cost, regret, and trace stays bit-identical across backends, and
@@ -229,12 +226,8 @@ class CostEngine:
     ``memory_budget_bytes`` bounds the total bytes of cached rows
     (:func:`default_memory_budget` when ``None``); crossing it evicts whole
     least-recently-used chunks of nodes (:meth:`cache_bytes` /
-    ``stats["chunks_evicted"]`` observe it).  ``giant_batch`` (default
-    ``True``) enables :meth:`plan_report_prefetch`'s chunked giant
-    traversals; ``False`` keeps the PR 5 one-batch-per-node behaviour (the
-    baseline of ``scripts/bench_speed.py --backend``'s giant floors).
-    Neither knob changes any computed value — both paths are bit-identical
-    to the references.
+    ``stats["chunks_evicted"]`` observe it).  The budget changes only which
+    rows stay cached, never a computed value.
 
     ``verify_every`` (default ``None`` = off) arms self-verification: every
     ``verify_every``-th cache *hit* recomputes the served environment row
@@ -251,11 +244,8 @@ class CostEngine:
     def __init__(
         self,
         game,
-        incremental: bool = True,
-        vectorized: bool = True,
         backend: Optional[str] = None,
         memory_budget_bytes: Optional[int] = None,
-        giant_batch: bool = True,
         verify_every: Optional[int] = None,
         tables=None,
     ) -> None:
@@ -266,8 +256,6 @@ class CostEngine:
         # repro.engine.snapshot.SnapshotTables) so pool workers skip the
         # O(n^2) probing pass; None constructs normally.
         self.indexed = IndexedGame(game, tables=tables)
-        self.incremental = bool(incremental)
-        self.vectorized = bool(vectorized)
         self.backend = resolve_backend(
             backend, self.indexed.n, self.indexed.uniform_lengths
         )
@@ -304,8 +292,7 @@ class CostEngine:
         # traversal consumes (CSR, lengths, synced strategies, static
         # tables).  _rebuild_csr publishes a *fresh* snapshot per sync and
         # never mutates an old one, so readers holding a snapshot are safe
-        # across engine syncs; _indptr/_indices/_edge_lengths and the _np
-        # mirrors below are read-through properties over it.
+        # across engine syncs.
         self._snapshot = EngineSnapshot(
             version=0,
             indexed=self.indexed,
@@ -358,7 +345,6 @@ class CostEngine:
             if memory_budget_bytes is not None
             else default_memory_budget(self.indexed.n)
         )
-        self.giant_batch = bool(giant_batch)
         # Self-verification sampling: every `verify_every`-th cache *hit*
         # recomputes the served row from scratch and compares elementwise.
         # A mismatch means the cached copy was corrupted after it was filled
@@ -406,8 +392,8 @@ class CostEngine:
             "row_verify_failures": 0,
             "chunk_build_failures": 0,
         }
-        #: Wall-clock seconds spent inside batched traversal kernels (giant
-        #: chunks, per-node prefetch, all_costs sweeps) — the bench profile's
+        #: Wall-clock seconds spent inside the traversal kernels (every
+        #: fresh row, see _traverse) — the bench profile's
         #: traversal-vs-scoring split reads this.
         self.timings: Dict[str, float] = {"traversal_seconds": 0.0}
 
@@ -450,9 +436,9 @@ class CostEngine:
         Diffs the profile against the current snapshot: no change keeps the
         version (full cache reuse); a single-node change bumps the version,
         preserves the mover's own environment rows (``G - u`` does not
-        contain ``u``'s links) and, in incremental mode, records the step in
-        the edit log so every other node's still-cached rows can be repaired
-        in place on their next touch; anything larger resets all caches.
+        contain ``u``'s links) and records the step in the edit log so every
+        other node's still-cached rows can be repaired in place on their
+        next touch; anything larger resets all caches.
 
         Returns the dense int ids of the nodes whose strategies changed —
         ``()`` for a no-op sync — or ``None`` on the first sync, when there
@@ -535,40 +521,23 @@ class CostEngine:
         if changed is not None and len(changed) == 1:
             self.stats["local_syncs"] += 1
             changed_node = changed[0]
-            if self.incremental:
-                self._edits[self.version] = (changed_node, old_arcs[0])
-                if len(self._edits) > REPAIR_LOG_LIMIT:
-                    del self._edits[min(self._edits)]
-                # The mover's masked rows never contained its own arcs: when
-                # they were current a moment ago, re-stamp them eagerly so
-                # sweep-style probes of the mover stay entirely free.  Rows
-                # further behind are left stale for lazy repair (the edit log
-                # replay skips the mover's own steps anyway).
-                for cache in self._row_caches():
-                    entry = cache.get(changed_node)
-                    if entry is not None and entry[0] == self.version - 1:
-                        cache[changed_node] = (self.version, entry[1])
-                combo = self._combo_cache.get(changed_node)
-                if combo is not None and combo[0] == self.version - 1:
-                    self._combo_cache[changed_node] = (
-                        self.version, combo[1], combo[2]
-                    )
-            else:
-                kept = [
-                    (cache, cache.get(changed_node)) for cache in self._row_caches()
-                ]
-                kept_combo = self._combo_cache.get(changed_node)
-                self._clear_row_caches()
-                for cache, entry in kept:
-                    if entry is not None:
-                        cache[changed_node] = (self.version, entry[1])
-                        for row in entry[1].values():
-                            self._ledger.add(changed_node, _payload_nbytes(row))
-                if kept_combo is not None:
-                    self._combo_cache[changed_node] = (
-                        self.version, kept_combo[1], kept_combo[2]
-                    )
-                    self._ledger.add(changed_node, _payload_nbytes(kept_combo[2]))
+            self._edits[self.version] = (changed_node, old_arcs[0])
+            if len(self._edits) > REPAIR_LOG_LIMIT:
+                del self._edits[min(self._edits)]
+            # The mover's masked rows never contained its own arcs: when
+            # they were current a moment ago, re-stamp them eagerly so
+            # sweep-style probes of the mover stay entirely free.  Rows
+            # further behind are left stale for lazy repair (the edit log
+            # replay skips the mover's own steps anyway).
+            for cache in self._row_caches():
+                entry = cache.get(changed_node)
+                if entry is not None and entry[0] == self.version - 1:
+                    cache[changed_node] = (self.version, entry[1])
+            combo = self._combo_cache.get(changed_node)
+            if combo is not None and combo[0] == self.version - 1:
+                self._combo_cache[changed_node] = (
+                    self.version, combo[1], combo[2]
+                )
         else:
             self.stats["full_syncs"] += 1
             self._clear_row_caches()
@@ -655,34 +624,6 @@ class CostEngine:
         """
         return self._snapshot
 
-    @property
-    def _indptr(self) -> List[int]:
-        return self._snapshot.indptr
-
-    @property
-    def _indices(self) -> List[int]:
-        return self._snapshot.indices
-
-    @property
-    def _edge_lengths(self) -> Optional[List[float]]:
-        return self._snapshot.edge_lengths
-
-    @property
-    def _indptr_np(self):
-        return self._snapshot.indptr_np
-
-    @property
-    def _indices_np(self):
-        return self._snapshot.indices_np
-
-    @property
-    def _edge_lengths_np(self):
-        return self._snapshot.edge_lengths_np
-
-    @property
-    def _edge_lengths_exact_np(self):
-        return self._snapshot.edge_lengths_exact_np
-
     def _rev_csr(self):
         """Return the current snapshot's reverse CSR (numpy backend, lazy).
 
@@ -736,30 +677,41 @@ class CostEngine:
         self._ledger.remove(u)
         return dropped
 
-    def _evict_over_budget(self, keep: Optional[Set[int]] = None) -> None:
+    def _evict_over_budget(self, keep: Set[int]) -> None:
         """Evict whole least-recently-used chunks until back under budget.
 
-        The chunk(s) containing nodes in ``keep`` — the caller's in-flight
-        working set, typically the node being probed or the giant-batch
-        chunk just filled — are exempt, so the cache may transiently exceed
-        the budget by at most that working set (chunk sizing caps it at a
-        quarter of the budget).  Evicted nodes are remembered so their next
-        fill is surfaced as an eviction-forced recompute.
+        The nodes in ``keep`` — the caller's in-flight working set,
+        typically the node being probed or the giant-batch chunk just
+        filled — are exempt, so the cache may transiently exceed the budget
+        by at most that working set (chunk sizing caps a filled chunk at a
+        quarter of the budget).  A chunk is exempt as a whole while other
+        chunks can go; once only chunks holding ``keep`` nodes remain, the
+        ``keep`` nodes are split into a chunk of their own and their former
+        chunk-mates evicted as a unit — otherwise one giant-batch chunk
+        whose members are probed in turn would pin the cache over budget
+        forever.  Evicted nodes are remembered so their next fill is
+        surfaced as an eviction-forced recompute.
         """
         ledger = self._ledger
         budget = self.memory_budget_bytes
+        split = False
         while ledger.bytes > budget:
             victims = ledger.lru_nodes(exempt=keep)
             if victims is None:
-                break
-            for node in victims:
-                self.stats["rows_evicted"] += self._drop_node(node)
-                self._evicted_nodes.add(node)
-            self.stats["chunks_evicted"] += 1
+                if split:
+                    break
+                ledger.group(keep)
+                split = True
+                continue
+            self._evict_chunk(victims)
+
+    def _evict_chunk(self, victims: List[int]) -> None:
+        for node in victims:
+            self.stats["rows_evicted"] += self._drop_node(node)
+            self._evicted_nodes.add(node)
+        self.stats["chunks_evicted"] += 1
 
     def _repairable(self, entry_version: int) -> bool:
-        if not self.incremental:
-            return False
         edits = self._edits
         if self.version - entry_version > len(edits):
             return False
@@ -1045,17 +997,14 @@ class CostEngine:
         :meth:`prefetch_env_rows`, on either backend) computes its entire
         chunk in one multi-source per-row-masked traversal.
 
-        Returns the number of planned rows; 0 when planning is off
-        (``giant_batch=False``), the plan would exceed
-        :data:`PLAN_ROW_LIMIT`, or there is nothing to plan.  Rows, costs,
+        Returns the number of planned rows; 0 when the plan would exceed
+        :data:`PLAN_ROW_LIMIT` or there is nothing to plan.  Rows, costs,
         and traces are bit-identical with or without a plan — only *when*
         rows are computed changes.  The plan dies with the snapshot: any
         profile change clears it.
         """
         self.sync(profile)
         self._clear_plan()
-        if not self.giant_batch:
-            return 0
         indexed = self.indexed
         index = indexed.index
         n = indexed.n
@@ -1120,7 +1069,7 @@ class CostEngine:
             # overhead.  Measured on 2-out-degree games at n in {1k, 4k},
             # 32-48 rows per traversal is the sweet spot (at or below the
             # per-node batch cost); scale down as the edge count grows.
-            edges = max(1, len(self._indices))
+            edges = max(1, len(self._snapshot.indices))
             row_cap = max(12, min(48, (1 << 19) // edges))
         chunks: List[List[Tuple[int, List[int]]]] = []
         current: List[Tuple[int, List[int]]] = []
@@ -1169,105 +1118,43 @@ class CostEngine:
     def _run_plan_chunk(self, u: int, chunk: List[Tuple[int, List[int]]]) -> None:
         """Fill every missing planned row of ``chunk`` in one giant traversal.
 
-        All members' missing ``(mask, source)`` pairs go through a single
-        multi-source per-row-masked kernel call; the members are then
-        grouped into one ledger chunk so they age and evict together.  Rows
-        already cached (or repaired current by :meth:`_ensure_current`) are
-        left untouched, which keeps the fill bit-identical to the per-row
-        path.
+        All members' missing ``(mask, source)`` pairs go through one
+        :meth:`_traverse` — on the numpy backend a single multi-source
+        per-row-masked kernel call — and the members are grouped into one
+        ledger chunk so they age and evict together.  Rows already cached
+        (or repaired current by :meth:`_ensure_current`) are left untouched,
+        which keeps the fill bit-identical to the per-row path.
         """
         fault_point("engine.chunk-build", key=u)
-        indexed = self.indexed
-        n = indexed.n
-        uniform = indexed.uniform_lengths
-        version = self.version
-        row_dicts: Dict[int, Dict[int, Row]] = {}
-        hop_dicts: Dict[int, Dict[int, List[int]]] = {}
-        work: List[Tuple[int, int]] = []
+        work: List[Tuple[int, List[int]]] = []
+        masks: List[int] = []
+        sources: List[int] = []
         for member, hops in chunk:
             self._ensure_current(member)
             entry = self._env_cache.get(member)
-            if entry is None:
-                rows: Dict[int, Row] = {}
-                self._env_cache[member] = (version, rows)
-            else:
-                rows = entry[1]
-            row_dicts[member] = rows
-            if uniform:
-                hop_entry = self._hop_cache.get(member)
-                if hop_entry is None:
-                    hop_rows: Dict[int, List[int]] = {}
-                    self._hop_cache[member] = (version, hop_rows)
-                else:
-                    hop_rows = hop_entry[1]
-                hop_dicts[member] = hop_rows
-            for a in hops:
-                if a not in rows:
-                    work.append((member, a))
-        members = [member for member, _ in chunk]
-        if work:
-            sources = [a for _, a in work]
-            masks = [member for member, _ in work]
-            start = time.perf_counter()
-            scaled = None
-            snap = self._snapshot
-            if self._np_traversal:
-                indptr_np, indices_np, lengths_np, exact = csr_arrays_of(snap)
-                if uniform:
-                    # Fused form: the kernel assembles the scaled float rows
-                    # from its narrow internal counter, saving a full pass
-                    # over the int64 hop matrix per giant chunk.
-                    matrix, scaled = _npk.bfs_hops_csr_multi(
-                        indptr_np, indices_np, n, sources, masks,
-                        scale_unit=indexed.unit_length,
-                    )
-                else:
-                    lengths = exact if exact is not None else lengths_np
-                    matrix = _npk.dijkstra_csr_multi(
-                        indptr_np, indices_np, lengths, n, sources, masks
-                    )
-                    if exact is not None:
-                        matrix = _npk.int_to_float_rows(matrix)
-            elif uniform:
-                indptr, indices, _ = csr_of(snap)
-                matrix = bfs_hops_csr_multi(indptr, indices, n, sources, masks)
-                scaled = [
-                    scaled_float_row(hop_row, indexed.unit_length)
-                    for hop_row in matrix
-                ]
-            else:
-                indptr, indices, edge_lengths = csr_of(snap)
-                matrix = dijkstra_csr_multi(
-                    indptr, indices, edge_lengths, n, sources, masks
+            rows = entry[1] if entry is not None else {}
+            missing = [a for a in hops if a not in rows]
+            if missing:
+                work.append((member, missing))
+                masks.extend([member] * len(missing))
+                sources.extend(missing)
+        if sources:
+            hop_rows, rows = self._traverse(masks, sources)
+            start = 0
+            for member, missing in work:
+                end = start + len(missing)
+                self._store(
+                    member,
+                    missing,
+                    None if hop_rows is None else hop_rows[start:end],
+                    rows[start:end],
                 )
-            self.timings["traversal_seconds"] += time.perf_counter() - start
-            per_node_bytes: Dict[int, int] = {}
-            refilled = set()
-            # Every stored row has length n, so the per-row byte cost is one
-            # computation, not one per row.
-            if uniform:
-                nbytes = _payload_nbytes(matrix[0]) + _payload_nbytes(scaled[0])
-            else:
-                nbytes = _payload_nbytes(matrix[0])
-            for i, (member, a) in enumerate(work):
-                if uniform:
-                    hop_dicts[member][a] = matrix[i]
-                    row = scaled[i]
-                else:
-                    row = matrix[i]
-                row_dicts[member][a] = row
-                per_node_bytes[member] = per_node_bytes.get(member, 0) + nbytes
-                if member in self._evicted_nodes:
-                    refilled.add(member)
-                    self.stats["evicted_recomputes"] += 1
-            self._evicted_nodes.difference_update(refilled)
-            for member, nbytes in per_node_bytes.items():
-                self._ledger.add(member, nbytes)
-            self.stats["rows_computed"] += len(work)
+                start = end
             self.stats["giant_batch_traversals"] += 1
-            self.stats["giant_batch_rows"] += len(work)
+            self.stats["giant_batch_rows"] += len(sources)
         # One ledger chunk for the whole batch, exempt from the eviction its
         # own bytes may trigger.
+        members = [member for member, _ in chunk]
         self._ledger.group(members)
         if self._ledger.bytes > self.memory_budget_bytes:
             self._evict_over_budget(keep=set(members))
@@ -1275,50 +1162,115 @@ class CostEngine:
     # ------------------------------------------------------------------ #
     # Distance rows
     # ------------------------------------------------------------------ #
-    def _compute_row(self, source: int, forbidden: int) -> Row:
+    def _traverse(
+        self, masks: List[int], sources: List[int]
+    ) -> Tuple[Optional[list], list]:
+        """Fresh distance rows from ``sources``; the one kernel choice.
+
+        Row ``i`` never enters ``masks[i]`` (``-1`` for an unmasked row).
+        Returns ``(hops, rows)``: ``rows[i]`` is the float distance row from
+        ``sources[i]``, and on uniform-length games ``hops[i]`` is its exact
+        BFS hop row (kept for int-space repair); ``hops`` is ``None`` on
+        weighted games.  Every call is timed into ``traversal_seconds``.
+
+        The list backend runs one single-source kernel per row.  The numpy
+        backend takes the single-source frontier kernel for one source and
+        the fused multi-source form (per-row masks, scaled floats assembled
+        in the kernel) for two or more — one masked row costs about twice
+        as much through the multi-source kernel, while a batch of six costs
+        no more than six single rows.  Integer-valued weighted lengths
+        traverse in exact int64 space and convert once at the end
+        (``float(int)`` is exact under the
+        :attr:`IndexedGame.integral_lengths` gate); other lengths traverse
+        in float64, which reproduces the heap kernel's labels bit for bit.
+        Every choice yields bit-identical rows.
+        """
+        start = time.perf_counter()
         indexed = self.indexed
         snap = self._snapshot
-        if indexed.uniform_lengths:
-            if self._np_traversal:
-                indptr_np, indices_np, _, _ = csr_arrays_of(snap)
-                hops_np = _npk.bfs_hops_csr_np(
-                    indptr_np, indices_np, indexed.n, source, forbidden
+        n = indexed.n
+        uniform = indexed.uniform_lengths
+        hops = None
+        if not self._np_traversal:
+            if uniform and len(sources) == 1:  # the hot single-row fill, no loop
+                hops = [bfs_hops_csr(snap.indptr, snap.indices, n, sources[0], masks[0])]
+                rows = [scaled_float_row(hops[0], indexed.unit_length)]
+            elif uniform:
+                hops = [
+                    bfs_hops_csr(snap.indptr, snap.indices, n, source, mask)
+                    for source, mask in zip(sources, masks)
+                ]
+                rows = [scaled_float_row(hop_row, indexed.unit_length) for hop_row in hops]
+            else:
+                indptr, indices, lengths = csr_of(snap)
+                rows = [
+                    dijkstra_csr(indptr, indices, lengths, n, source, mask)
+                    for source, mask in zip(sources, masks)
+                ]
+        else:
+            unit = indexed.unit_length
+            indptr, indices, lengths, exact = csr_arrays_of(snap)
+            if exact is not None:
+                lengths = exact
+            if len(sources) > 1 and uniform:
+                hops, rows = _npk.bfs_hops_csr_multi(
+                    indptr, indices, n, sources, masks, scale_unit=unit
                 )
-                return _npk.scaled_float_rows(hops_np, indexed.unit_length)
-            indptr, indices, _ = csr_of(snap)
-            hops = bfs_hops_csr(indptr, indices, indexed.n, source, forbidden)
-            return scaled_float_row(hops, indexed.unit_length)
-        if self._np_traversal:
-            return self._dijkstra_row_np(source, forbidden)
-        indptr, indices, edge_lengths = csr_of(snap)
-        return dijkstra_csr(
-            indptr,
-            indices,
-            edge_lengths,
-            indexed.n,
-            source,
-            forbidden,
-        )
+            elif len(sources) > 1:
+                rows = _npk.dijkstra_csr_multi(indptr, indices, lengths, n, sources, masks)
+            elif uniform:
+                hops = [_npk.bfs_hops_csr_np(indptr, indices, n, sources[0], masks[0])]
+                rows = [_npk.scaled_float_rows(hops[0], unit)]
+            else:
+                rows = _npk.dijkstra_csr_np(
+                    indptr, indices, lengths, n, sources[0], masks[0]
+                )[None]
+            if not uniform and exact is not None:
+                rows = _npk.int_to_float_rows(rows)
+        self.timings["traversal_seconds"] += time.perf_counter() - start
+        return hops, rows
 
-    def _dijkstra_row_np(self, source: int, forbidden: int):
-        """One weighted row via the frontier kernel, as a float64 array.
+    def _store(self, u: int, first_hops: List[int], hops, rows) -> None:
+        """Cache and charge fresh ``d_{G-u}`` rows: the one store path.
 
-        Integer-valued lengths traverse in exact int64 space and convert once
-        at the end (``float(int)`` is exact under the
-        :attr:`IndexedGame.integral_lengths` gate); other lengths traverse in
-        float64, which reproduces the heap kernel's labels bit for bit.
+        ``rows[i]`` — and on uniform games the exact hop row ``hops[i]``, as
+        :meth:`_traverse` returns them — is the row of first hop
+        ``first_hops[i]``.  The rows land in ``u``'s current-version caches,
+        count in ``rows_computed`` (and in ``evicted_recomputes`` when ``u``
+        lost rows to the budget), and are charged to the ledger.  Callers
+        have brought ``u`` current via :meth:`_ensure_current`, listed only
+        missing rows, and enforce the budget once their whole batch is
+        stored.
         """
-        indptr_np, indices_np, lengths_np, exact = csr_arrays_of(self._snapshot)
-        if exact is not None:
-            dist = _npk.dijkstra_csr_np(
-                indptr_np, indices_np, exact,
-                self.indexed.n, source, forbidden,
-            )
-            return _npk.int_to_float_rows(dist)
-        return _npk.dijkstra_csr_np(
-            indptr_np, indices_np, lengths_np,
-            self.indexed.n, source, forbidden,
-        )
+        env_rows = self._current_rows(self._env_cache, u)
+        # Every row of one traversal has the same shape and dtype.
+        nbytes = _payload_nbytes(rows[0])
+        if hops is not None:
+            hop_rows = self._current_rows(self._hop_cache, u)
+            nbytes += _payload_nbytes(hops[0])
+        for i, a in enumerate(first_hops):
+            env_rows[a] = rows[i]
+            if hops is not None:
+                hop_rows[a] = hops[i]
+        count = len(first_hops)
+        self.stats["rows_computed"] += count
+        if u in self._evicted_nodes:
+            self._evicted_nodes.discard(u)
+            self.stats["evicted_recomputes"] += count
+        self._ledger.add(u, count * nbytes)
+
+    def _current_rows(self, cache: Dict[int, Tuple[int, dict]], u: int) -> dict:
+        """``u``'s row dict in ``cache``, created empty at the current version.
+
+        Callers have run :meth:`_ensure_current`, so an existing entry
+        always carries the current version.
+        """
+        entry = cache.get(u)
+        if entry is None:
+            rows: dict = {}
+            cache[u] = (self.version, rows)
+            return rows
+        return entry[1]
 
     def env_row(self, u: int, first_hop: int) -> Row:
         """Return ``d_{G-u}(first_hop, ·)`` as a dense float row (``inf`` = unreachable).
@@ -1342,62 +1294,18 @@ class CostEngine:
             self._force_evict_chunk(keep={u})
         self._ensure_current(u)
         entry = self._env_cache.get(u)
-        if entry is None:
-            rows: Dict[int, Row] = {}
-            self._env_cache[u] = (self.version, rows)
-        else:
-            # _ensure_current repaired or dropped anything stale, so an entry
-            # here always carries the current version.
-            rows = entry[1]
-        row = rows.get(first_hop)
+        row = entry[1].get(first_hop) if entry is not None else None
         if row is None:
-            indexed = self.indexed
-            if indexed.uniform_lengths:
-                hop_entry = self._hop_cache.get(u)
-                if hop_entry is None:
-                    hop_rows: Dict[int, List[int]] = {}
-                    self._hop_cache[u] = (self.version, hop_rows)
-                else:
-                    hop_rows = hop_entry[1]
-                if self._np_traversal:
-                    indptr_np, indices_np, _, _ = csr_arrays_of(self._snapshot)
-                    hop_row = _npk.bfs_hops_csr_np(
-                        indptr_np, indices_np, indexed.n, first_hop, u
-                    )
-                    row = _npk.scaled_float_rows(hop_row, indexed.unit_length)
-                else:
-                    indptr, indices, _ = csr_of(self._snapshot)
-                    hop_row = bfs_hops_csr(indptr, indices, indexed.n, first_hop, u)
-                    row = scaled_float_row(hop_row, indexed.unit_length)
-                hop_rows[first_hop] = hop_row
-                added = _payload_nbytes(row) + _payload_nbytes(hop_row)
-            else:
-                if self._np_traversal:
-                    row = self._dijkstra_row_np(first_hop, u)
-                else:
-                    indptr, indices, edge_lengths = csr_of(self._snapshot)
-                    row = dijkstra_csr(
-                        indptr,
-                        indices,
-                        edge_lengths,
-                        indexed.n,
-                        first_hop,
-                        u,
-                    )
-                added = _payload_nbytes(row)
+            first_hops = [first_hop]
+            hops, rows = self._traverse([u], first_hops)
+            self._store(u, first_hops, hops, rows)
+            row = rows[0]
             if fault_fires("engine.row-poison", key=(u, first_hop)) is not None:
                 # Corruption fault site: cache a subtly-wrong copy while this
                 # call still returns the correct row — modelling a row that
                 # goes bad *after* it was filled.  Only verify_every sampling
                 # can catch it on a later cache hit.
-                rows[first_hop] = self._poisoned_copy(row)
-            else:
-                rows[first_hop] = row
-            self.stats["rows_computed"] += 1
-            if u in self._evicted_nodes:
-                self._evicted_nodes.discard(u)
-                self.stats["evicted_recomputes"] += 1
-            self._ledger.add(u, added)
+                self._env_cache[u][1][first_hop] = self._poisoned_copy(row)
             if self._ledger.bytes > self.memory_budget_bytes:
                 self._evict_over_budget(keep={u})
         else:
@@ -1419,15 +1327,11 @@ class CostEngine:
                 break
         return poisoned
 
-    def _force_evict_chunk(self, keep: Optional[Set[int]] = None) -> None:
+    def _force_evict_chunk(self, keep: Set[int]) -> None:
         """Drop one least-recently-used chunk regardless of the byte budget."""
         victims = self._ledger.lru_nodes(exempt=keep)
-        if victims is None:
-            return
-        for node in victims:
-            self.stats["rows_evicted"] += self._drop_node(node)
-            self._evicted_nodes.add(node)
-        self.stats["chunks_evicted"] += 1
+        if victims is not None:
+            self._evict_chunk(victims)
 
     def _verify_row(self, u: int, first_hop: int, row: Row) -> Row:
         """Recompute a served cache hit from scratch and compare elementwise.
@@ -1439,7 +1343,7 @@ class CostEngine:
         built from the bad row), re-inserts the fresh row, and returns it.
         """
         self.stats["rows_verified"] += 1
-        fresh = self._compute_row(first_hop, u)
+        fresh = self._traverse([u], [first_hop])[1][0]
         n = len(row)
         clean = n == len(fresh) and all(
             float(row[i]) == float(fresh[i]) for i in range(n)
@@ -1481,52 +1385,13 @@ class CostEngine:
         if not self._np_traversal:
             return
         self._ensure_current(u)
-        entry = self._env_cache.get(u)
-        if entry is None:
-            rows: Dict[int, Row] = {}
-            self._env_cache[u] = (self.version, rows)
-        else:
-            rows = entry[1]
+        rows = self._current_rows(self._env_cache, u)
         missing = [a for a in dict.fromkeys(first_hops) if a not in rows]
-        if len(missing) < 2:
-            return
-        indexed = self.indexed
-        added = 0
-        start = time.perf_counter()
-        indptr_np, indices_np, lengths_np, exact = csr_arrays_of(self._snapshot)
-        if indexed.uniform_lengths:
-            hop_entry = self._hop_cache.get(u)
-            if hop_entry is None:
-                hop_rows: Dict[int, List[int]] = {}
-                self._hop_cache[u] = (self.version, hop_rows)
-            else:
-                hop_rows = hop_entry[1]
-            matrix = _npk.bfs_hops_csr_multi(
-                indptr_np, indices_np, indexed.n, missing, u
-            )
-            scaled = _npk.scaled_float_rows(matrix, indexed.unit_length)
-            for i, a in enumerate(missing):
-                hop_rows[a] = matrix[i]
-                rows[a] = scaled[i]
-                added += _payload_nbytes(matrix[i]) + _payload_nbytes(scaled[i])
-        else:
-            lengths = exact if exact is not None else lengths_np
-            matrix = _npk.dijkstra_csr_multi(
-                indptr_np, indices_np, lengths, indexed.n, missing, u
-            )
-            if exact is not None:
-                matrix = _npk.int_to_float_rows(matrix)
-            for i, a in enumerate(missing):
-                rows[a] = matrix[i]
-                added += _payload_nbytes(matrix[i])
-        self.timings["traversal_seconds"] += time.perf_counter() - start
-        self.stats["rows_computed"] += len(missing)
-        if u in self._evicted_nodes:
-            self._evicted_nodes.discard(u)
-            self.stats["evicted_recomputes"] += len(missing)
-        self._ledger.add(u, added)
-        if self._ledger.bytes > self.memory_budget_bytes:
-            self._evict_over_budget(keep={u})
+        if len(missing) >= 2:
+            hops, rows = self._traverse([u] * len(missing), missing)
+            self._store(u, missing, hops, rows)
+            if self._ledger.bytes > self.memory_budget_bytes:
+                self._evict_over_budget(keep={u})
 
     def through_rows(self, u: int) -> Dict[int, Row]:
         """Return the current-version through-row dict for masked node ``u``.
@@ -1562,12 +1427,7 @@ class CostEngine:
         C-level ``min``/``sum``.
         """
         self._ensure_current(u)
-        entry = self._sub_cache.get(u)
-        if entry is None:
-            rows: Dict[int, Row] = {}
-            self._sub_cache[u] = (self.version, rows)
-        else:
-            rows = entry[1]
+        rows = self._current_rows(self._sub_cache, u)
         return rows  # repro: readonly — live cache dict, filled lazily by scorers
 
     def _note_derived_row(
@@ -1604,7 +1464,7 @@ class CostEngine:
     def full_row(self, u: int) -> Row:
         """Return full-graph distances from int node ``u`` (no masking)."""
         self._require_sync()
-        return self._compute_row(u, forbidden=-1)
+        return self._traverse([-1], [u])[1][0]
 
     # ------------------------------------------------------------------ #
     # Cost evaluation
@@ -1630,50 +1490,32 @@ class CostEngine:
         if cached is not None and cached[0] == self.version:
             return dict(cached[1])
         indexed = self.indexed
-        if self._np_traversal:
+        n = indexed.n
+        use_np = self._np_traversal
+        if use_np:
             # Batched traversals for all n unmasked rows, sliced so one
             # slice's row matrix stays around GIANT_CHUNK_TARGET_BYTES (a
             # single n-source batch at n = 16384 would be a 2 GiB matrix);
             # each row is converted back to the list form _aggregate_row
             # expects, so the costs (and their plain-float types) match the
-            # per-row path — multi-kernel rows do not depend on how the
+            # list backend — multi-kernel rows do not depend on how the
             # sources are batched.
-            n = indexed.n
             uniform = indexed.uniform_lengths
-            snap = self._snapshot
-            indptr_np, indices_np, lengths_np, exact = csr_arrays_of(snap)
-            per_row = 16 * n if uniform else 8 * n
-            chunk_rows = max(1, min(n, GIANT_CHUNK_TARGET_BYTES // per_row))
+            chunk_rows = max(1, min(n, GIANT_CHUNK_TARGET_BYTES // ((16 if uniform else 8) * n)))
             if not uniform:
-                edges = max(1, len(snap.indices))
+                edges = max(1, len(self._snapshot.indices))
                 chunk_rows = min(
                     chunk_rows, max(16, GIANT_CHUNK_TARGET_BYTES // (8 * edges))
                 )
-            labels = indexed.labels
-            costs = {}
-            for lo in range(0, n, chunk_rows):
-                sources = list(range(lo, min(n, lo + chunk_rows)))
-                start = time.perf_counter()
-                if uniform:
-                    matrix = _npk.scaled_float_rows(
-                        _npk.bfs_hops_csr_multi(indptr_np, indices_np, n, sources),
-                        indexed.unit_length,
-                    )
-                else:
-                    lengths = exact if exact is not None else lengths_np
-                    matrix = _npk.dijkstra_csr_multi(
-                        indptr_np, indices_np, lengths, n, sources
-                    )
-                    if exact is not None:
-                        matrix = _npk.int_to_float_rows(matrix)
-                self.timings["traversal_seconds"] += time.perf_counter() - start
-                for j, u in enumerate(sources):
-                    costs[labels[u]] = self._aggregate_row(u, matrix[j].tolist())
         else:
-            costs = {
-                label: self._aggregate_row(u, self.full_row(u))
-                for u, label in enumerate(indexed.labels)
-            }
+            chunk_rows = 1  # list rows gain nothing from batching
+        labels = indexed.labels
+        costs = {}
+        for lo in range(0, n, chunk_rows):
+            sources = list(range(lo, min(n, lo + chunk_rows)))
+            rows = self._traverse([-1] * len(sources), sources)[1]
+            for u, row in zip(sources, rows):
+                costs[labels[u]] = self._aggregate_row(u, row.tolist() if use_np else row)
         self._all_costs_cache = (self.version, costs)
         return dict(costs)
 
@@ -1754,8 +1596,7 @@ class StrategyScorer:
         # machinery (and of numpy) loses to the plain loops, so small games
         # stay on the original code path end to end.
         self.fast_sum = (
-            engine.vectorized
-            and self.is_sum
+            self.is_sum
             and self.unit_weights
             and indexed.penalty_dominates
             and len(self.targets) >= 16

@@ -128,9 +128,8 @@ def bfs_hops_csr_multi(
     ``forbidden`` is a shared int or a per-row sequence (row ``i`` masks
     ``forbidden[i]``); see :func:`per_source_forbidden`.  This is the
     bit-identical reference for the vectorised
-    :func:`repro.graphs.int_kernels_np.bfs_hops_csr_multi`, and what the cost
-    engine's giant-batch report prefetch runs on the python backend — a plain
-    loop, so batching changes *when* rows are computed, never their values.
+    :func:`repro.graphs.int_kernels_np.bfs_hops_csr_multi` — a plain loop, so
+    batching changes *when* rows are computed, never their values.
     """
     masks = per_source_forbidden(sources, forbidden)
     return [

@@ -21,7 +21,7 @@ import random
 
 import pytest
 
-from repro.core import BBCGame, UniformBBCGame, equilibrium_report
+from repro.core import BBCGame, UniformBBCGame, best_response, equilibrium_report
 from repro.dynamics import run_best_response_walk
 from repro.engine import (
     NUMPY_BACKEND_MIN_N,
@@ -560,17 +560,26 @@ def test_giant_batch_report_matches_per_node_and_reference(make_game, backend):
     profile = random_initial_profile(game, seed=9)
     for candidates in (None, _restricted_candidates(game)):
         giant = CostEngine(game, backend=backend)
-        per_node = CostEngine(game, backend=backend, giant_batch=False)
         report_giant = equilibrium_report(
             game, profile, candidates=candidates, engine=giant
         )
-        report_per_node = equilibrium_report(
-            game, profile, candidates=candidates, engine=per_node
-        )
+        # Per node: the same probes on a fresh engine with no report plan,
+        # so every row comes from the per-node fill paths.
+        per_node = CostEngine(game, backend=backend)
+        responses_per_node = {
+            node: best_response(
+                game,
+                profile,
+                node,
+                candidates=None if candidates is None else candidates[node],
+                engine=per_node,
+            )
+            for node in game.nodes
+        }
         report_ref = equilibrium_report(
             game, profile, candidates=candidates, engine=False
         )
-        assert report_giant.responses == report_per_node.responses
+        assert report_giant.responses == responses_per_node
         assert report_giant.responses == report_ref.responses
         assert report_giant.max_regret == report_ref.max_regret
         assert giant.stats["giant_batch_traversals"] > 0
@@ -624,7 +633,7 @@ def test_plan_is_cleared_by_profile_changes_and_skips_oversized_reports():
     engine.sync(moved)
     assert engine._plan_version != engine.version and not engine._plan_chunk_of
     # A plan above the row limit is declined outright (per-node prefetch
-    # serves those reports); giant_batch=False never plans.
+    # serves those reports).
     import repro.engine.cost_engine as ce
 
     old_limit = ce.PLAN_ROW_LIMIT
@@ -634,5 +643,3 @@ def test_plan_is_cleared_by_profile_changes_and_skips_oversized_reports():
         assert not engine._plan_chunk_of
     finally:
         ce.PLAN_ROW_LIMIT = old_limit
-    off = CostEngine(game, giant_batch=False)
-    assert off.plan_report_prefetch(moved) == 0

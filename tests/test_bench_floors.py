@@ -115,3 +115,27 @@ def test_core_floor_gates_only_large_sizes(tmp_path, capsys):
 def test_giant_floor_boundary(tmp_path, speedup, expected):
     path = _write(tmp_path, _backend_payload(giant_speedup=speedup))
     assert bench_speed.check_floors(path) == expected
+
+
+def test_incremental_walk_floor_gates_the_largest_walk_against_the_reference(
+    tmp_path, capsys
+):
+    # The walk floor compares the engine with the dict-based reference, so
+    # a 3.6x walk no longer clears it.  Only the largest walk is gated.
+    def payload(speedup):
+        return {
+            "incremental_results": [
+                {"task": "incremental_walk", "n": 32, "speedup": 2.4},
+                {"task": "incremental_walk", "n": 64, "speedup": speedup},
+            ],
+            "incremental_meta": {"smoke": False},
+        }
+
+    floor = bench_speed.INCREMENTAL_WALK_FLOOR
+    assert floor >= 9.0
+    assert bench_speed.check_floors(_write(tmp_path, payload(floor))) == 0
+    assert "incremental" in capsys.readouterr().out
+    assert bench_speed.check_floors(_write(tmp_path, payload(3.6))) == 1
+    err = capsys.readouterr().err
+    assert err.count("FLOOR VIOLATION") == 1
+    assert "incremental_walk" in err and "n=64" in err

@@ -265,10 +265,14 @@ def test_repaired_walk_trace_is_bit_identical():
     repair_engine = CostEngine(game)
     repair_engine._repair_edit_limit = 10**9
     repaired = run(repair_engine)
-    dropped = run(CostEngine(game, incremental=False))
+    # The opposite policy: a repair budget of zero net movers, so every
+    # stale row that any edit touched is dropped and recomputed.
+    recompute_engine = CostEngine(game)
+    recompute_engine._repair_edit_limit = 0
+    recomputed = run(recompute_engine)
     reference = run(False)
     assert repair_engine.stats["rows_repaired"] > 0
-    for other in (dropped, reference):
+    for other in (recomputed, reference):
         assert repaired.final_profile == other.final_profile
         assert repaired.probes == other.probes
         assert repaired.deviations == other.deviations
@@ -276,6 +280,21 @@ def test_repaired_walk_trace_is_bit_identical():
         assert [s.node for s in repaired.steps] == [s.node for s in other.steps]
         assert [s.new_cost for s in repaired.steps] == [s.new_cost for s in other.steps]
         assert [s.old_cost for s in repaired.steps] == [s.old_cost for s in other.steps]
+
+
+def test_walk_times_its_single_row_fills():
+    """Every fresh row is timed, including the single-row list-kernel fills
+    a small walk runs on."""
+    from repro.experiments.workloads import random_initial_profile
+
+    game = UniformBBCGame(64, 2)
+    engine = CostEngine(game)
+    run_best_response_walk(
+        game, random_initial_profile(game, seed=2), max_rounds=1, engine=engine
+    )
+    stats = engine.snapshot_stats()
+    assert stats["rows_computed"] > 0
+    assert stats["traversal_seconds"] > 0
 
 
 def test_equilibrium_recheck_after_single_deviation_repairs_not_recomputes():

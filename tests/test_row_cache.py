@@ -14,7 +14,7 @@ import random
 
 import pytest
 
-from repro.core import UniformBBCGame
+from repro.core import UniformBBCGame, equilibrium_report
 from repro.core.best_response import best_response
 from repro.engine import CostEngine
 from repro.engine.cost_engine import default_memory_budget
@@ -101,3 +101,34 @@ def test_long_walk_at_n_1024_stays_within_budget_and_counts_evictions():
     assert stats["evicted_recomputes"] > 0
     assert stats["cache_bytes"] == engine.cache_bytes() <= budget
     assert stats["memory_budget_bytes"] == budget
+
+
+@pytest.mark.skipif(not HAVE_NUMPY, reason="the n=256 probes need the numpy backend")
+def test_budget_holds_for_probes_after_a_report():
+    """A report groups its planned nodes into a few giant ledger chunks.  A
+    probe exempts its own node's chunk from eviction, so once only one such
+    chunk is left the budget must still be enforced by evicting the probed
+    node's chunk-mates, not by giving up."""
+    game = UniformBBCGame(256, 2)
+    profile = random_initial_profile(game, seed=3)
+    engine = CostEngine(game)
+    unbudgeted = CostEngine(game, memory_budget_bytes=1 << 40)
+    budget = engine.memory_budget_bytes
+    rng = random.Random(5)
+    nodes = list(game.nodes)
+    report_candidates = {
+        u: rng.sample([v for v in nodes if v != u], 3) for u in nodes
+    }
+    equilibrium_report(game, profile, candidates=report_candidates, engine=engine)
+    for _ in range(600):
+        node = rng.choice(nodes)
+        candidates = rng.sample([v for v in nodes if v != node], 8)
+        got = best_response(game, profile, node, candidates=candidates, engine=engine)
+        want = best_response(
+            game, profile, node, candidates=candidates, engine=unbudgeted
+        )
+        assert got == want
+        assert engine.cache_bytes() <= budget + engine._ledger.node_bytes(
+            engine.indexed.index[node]
+        )
+    assert engine.stats["chunks_evicted"] > 0
