@@ -5,8 +5,9 @@ uniform game, a weighted "friend finder" preference game, and a fractional
 game — with a seeded, fully deterministic query script: waves of concurrent
 reads (cost / what-if / best-response, with a restricted equilibrium report
 per game) submitted through ``GameService.gather`` so they coalesce into
-giant batches, interleaved with single-node strategy updates that ride the
-engines' incremental repair path.
+giant batches, interleaved with single-node strategy updates whose stale
+rows the engines repair in place (list backend) or refill in the next giant
+batch (numpy backend).
 
 The run records ``benchmarks/output/BENCH_service.json``: one row per game
 (exact query/batch/cache counters from the per-game metrics registry plus

@@ -12,8 +12,9 @@ links with ``u`` deleted.  The matrix ``d_{G-u}(a, v)`` does not depend on
 ``u``'s own strategy, so it is computed at most once per best response (one
 BFS or Dijkstra per candidate target on the reference path; the engine serves
 the same rows from its version-stamped cache, repairs them in place after a
-single-node change, or fills them in giant batched traversals when a report
-planned the working set) and every candidate strategy is then scored in
+single-node change on the list backend, or fills them — fresh or refilled
+after going stale — in giant batched traversals when a report planned the
+working set) and every candidate strategy is then scored in
 ``O(|strategy| * |targets|)`` time.  This turns exact best responses over all
 ``C(n-1, k)`` strategies from thousands of graph traversals into one pass of
 cheap arithmetic.

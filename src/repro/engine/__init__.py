@@ -36,21 +36,33 @@ incoming profile against the engine's snapshot and:
 the engine's version is not discarded on touch: the engine collapses the
 edit log since the row's stamp into net per-mover arc diffs (a node that
 moved away and back contributes nothing; the masked node's own steps never
-matter) and *repairs* the row in place with the dynamic-SSSP kernels
-:func:`repro.graphs.int_kernels.repair_hops_csr` /
-:func:`repro.graphs.int_kernels.repair_dijkstra_csr` — bounded
-re-relaxation of only the region the arc changes can reach, seeded from the
-region's intact in-boundary (the engine maintains the reverse adjacency for
-this).  Hop rows repair in exact int space before rescaling, so repaired
-rows are **bit-identical** to recomputation; derived rows (through rows,
-penalty-substituted slices, batched combination cost vectors) are patched at
-the touched indices only.  When repair would not pay — more pending net
-movers than ``_repair_edit_limit`` (the affected region would approach the
-whole row), a row older than the ``REPAIR_LOG_LIMIT``-entry log, or tiny
-games where a fresh BFS is cheaper — the engine falls back to
-drop-and-recompute, which remains the reference semantics.  ``tests/test_engine_parity.py`` pins repaired rows,
-costs, and walk traces against full recomputation across randomized
-single-node edit sequences.
+matter).  When nothing is left the row is re-stamped as it stands, on
+either backend.  Otherwise the two backends part ways, by policy rather
+than by a flag:
+
+* the **list engine** *repairs* the row in place with the dynamic-SSSP
+  kernels :func:`repro.graphs.int_kernels.repair_hops_csr` /
+  :func:`repro.graphs.int_kernels.repair_dijkstra_csr` — bounded
+  re-relaxation of only the region the arc changes can reach, seeded from
+  the region's intact in-boundary (the engine maintains the reverse
+  adjacency for this).  Hop rows repair in exact int space before
+  rescaling, so repaired rows are **bit-identical** to recomputation;
+  derived rows (through rows, penalty-substituted slices, batched
+  combination cost vectors) are patched at the touched indices only.  When
+  repair would not pay — more pending net movers than
+  ``_repair_edit_limit`` (the affected region would approach the whole
+  row), a row older than the ``REPAIR_LOG_LIMIT``-entry log, or tiny games
+  where a fresh BFS is cheaper — it falls back to drop-and-recompute;
+* the **numpy engine** *refills*: it drops the node's stale rows
+  (``stats["rows_invalidated"]``) and the next fill recomputes them —
+  inside a report or a coalesced service batch, as part of the plan
+  chunk's one fused multi-source traversal, where a row costs a small
+  fraction of a vectorised per-row repair.  It keeps no hop rows.
+
+Drop-and-recompute remains the reference semantics.
+``tests/test_engine_parity.py`` pins repaired rows, costs, and walk traces
+against full recomputation across randomized single-node edit sequences,
+and ``tests/test_backend_parity.py`` pins the numpy refill path.
 
 Consumers never invalidate caches themselves; they call ``sync`` (directly
 or through the routed entry points :func:`repro.core.best_response`,
@@ -63,9 +75,9 @@ refuses to run stale.
 interchangeable implementations: the list kernels of
 :mod:`repro.graphs.int_kernels` (the reference — plain deques and binary
 heaps over list CSR) and the array kernels of
-:mod:`repro.graphs.int_kernels_np` (level-synchronous frontier BFS,
-frontier-relaxation Dijkstra, and vectorised repair sweeps over int64 numpy
-CSR views of the same snapshot).  ``CostEngine(game, backend=...)`` selects
+:mod:`repro.graphs.int_kernels_np` (level-synchronous frontier BFS and
+frontier-relaxation Dijkstra over int64 numpy CSR views of the same
+snapshot).  ``CostEngine(game, backend=...)`` selects
 between them with the usual tri-state idiom: ``None``/``"auto"`` picks numpy
 when it is importable and the game has at least
 :data:`~repro.engine.cost_engine.NUMPY_BACKEND_MIN_N` nodes, ``"python"`` or

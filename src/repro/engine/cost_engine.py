@@ -15,13 +15,17 @@ Invalidation exploits locality twice over.  When :meth:`sync` observes that
 exactly one node ``u`` changed its strategy, the environment ``G - u`` is by
 definition untouched (it never contained ``u``'s links), so ``u``'s cached
 rows are re-stamped to the new version instead of recomputed.  Every *other*
-node's rows are no longer dropped either: the engine appends the step to a
-bounded edit log and, on the row's next touch, **repairs** it in place with
-the dynamic-SSSP kernels (:func:`~repro.graphs.int_kernels.repair_hops_csr`
-/ :func:`~repro.graphs.int_kernels.repair_dijkstra_csr`) — bounded
-re-relaxation of only the region the arc changes could have reached, instead
-of a fresh traversal.  A multi-node change, or a row that has fallen behind
-the edit log, resets to a full recompute.
+node's rows are not dropped at sync time either: the engine appends the step
+to a bounded edit log, and on the row's next touch a span that nets out to
+nothing for that node re-stamps its rows.  Otherwise the list backend
+**repairs** them in place with the dynamic-SSSP kernels
+(:func:`~repro.graphs.int_kernels.repair_hops_csr` /
+:func:`~repro.graphs.int_kernels.repair_dijkstra_csr`) — bounded
+re-relaxation of only the region the arc changes could have reached — while
+the numpy backend drops them and refills them in the next fresh traversal
+(inside a report, the chunk's one fused multi-source sweep), which costs a
+fraction of a vectorised per-row repair.  A multi-node change, or a row that
+has fallen behind the edit log, resets to a full recompute.
 
 Every fresh row — a single :meth:`CostEngine.env_row` miss, a per-node
 prefetch batch, a giant-batch chunk, an ``all_costs`` sweep — goes through
@@ -208,10 +212,11 @@ class CostEngine:
     :meth:`all_costs`, and :meth:`scorer` evaluate costs against the cached
     snapshot.  All results are bit-identical to the reference
     :class:`~repro.core.best_response.DeviationOracle` / dict-BFS path; the
-    parity tests in ``tests/test_engine_parity.py`` enforce this.  Cached
-    distance rows are repaired in place across single-node profile steps
-    whenever the edit log and the repair policy allow it (see
-    :meth:`_ensure_current`), and recomputed otherwise.
+    parity tests in ``tests/test_engine_parity.py`` enforce this.  Across
+    single-node profile steps, cached distance rows are re-stamped when the
+    pending edits net out to nothing for their node, repaired in place on
+    the list backend when the edit log and the repair policy allow it, and
+    recomputed otherwise (see :meth:`_ensure_current`).
 
     ``backend`` selects the traversal kernels: ``"python"`` pins the list
     kernels of :mod:`repro.graphs.int_kernels`, ``"numpy"`` the array
@@ -261,17 +266,17 @@ class CostEngine:
         )
         # The numpy traversal state (int64 CSR views plus aligned edge
         # lengths — exact int64 when the licence holds, float64 otherwise)
-        # lives inside the published EngineSnapshot; only the lazily built
-        # reverse CSR the repair kernels seed from stays an engine-side
-        # cache, reset by _rebuild_csr per profile version.
+        # lives inside the published EngineSnapshot.  The backend also sets
+        # the staleness policy: numpy engines refill stale rows instead of
+        # repairing them (see _ensure_current).
         self._np_traversal = self.backend == "numpy"
-        self._rev_csr_np = None
-        # Repair beats recompute only while the pending edits reach a small
-        # part of the graph: past this many distinct net movers the affected
-        # region approaches the whole row and a fresh traversal is cheaper,
-        # so _ensure_current drops the rows instead.  Below n=16 a fresh BFS
-        # over the tiny row is already cheaper than the kernel's bookkeeping,
-        # so only edits that net out to nothing are worth replaying (limit 0).
+        # List-backend repair beats recompute only while the pending edits
+        # reach a small part of the graph: past this many distinct net movers
+        # the affected region approaches the whole row and a fresh traversal
+        # is cheaper, so _ensure_current drops the rows instead.  Below n=16
+        # a fresh BFS over the tiny row is already cheaper than the kernel's
+        # bookkeeping, so only edits that net out to nothing are worth
+        # replaying (limit 0).
         # Tests raise the limit to pin repair-vs-recompute parity on long
         # edit sequences.
         n = self.indexed.n
@@ -318,8 +323,8 @@ class CostEngine:
         # (see StrategyScorer) reduces over these directly.
         self._sub_cache: Dict[int, Tuple[int, Dict[int, Row]]] = {}
         # masked node u -> (version, {first hop a -> raw BFS hop row}); kept
-        # for uniform games only, because hop repair must happen in exact int
-        # space before rescaling to floats.
+        # for uniform games on the list backend only, because hop repair
+        # must happen in exact int space before rescaling to floats.
         self._hop_cache: Dict[int, Tuple[int, Dict[int, List[int]]]] = {}
         # node u -> {target node -> position in u's target row} (lazy), for
         # patching substituted slices after a repair.
@@ -374,13 +379,16 @@ class CostEngine:
         # (version, {label: cost}) for the whole profile
         self._all_costs_cache: Optional[Tuple[int, Dict[Node, float]]] = None
         #: Cache observability: how many environment rows were computed,
-        #: served from cache, or repaired in place, and how each sync
-        #: classified its diff.
+        #: served from cache, or repaired in place (list backend only), how
+        #: many cached rows left for the byte budget (``rows_evicted``) or
+        #: for going stale past repair (``rows_invalidated``), and how each
+        #: sync classified its diff.
         self.stats: Dict[str, int] = {
             "rows_computed": 0,
             "rows_reused": 0,
             "rows_repaired": 0,
             "rows_evicted": 0,
+            "rows_invalidated": 0,
             "chunks_evicted": 0,
             "giant_batch_traversals": 0,
             "giant_batch_rows": 0,
@@ -437,7 +445,7 @@ class CostEngine:
         version (full cache reuse); a single-node change bumps the version,
         preserves the mover's own environment rows (``G - u`` does not
         contain ``u``'s links) and records the step in the edit log so every
-        other node's still-cached rows can be repaired in place on their
+        other node's still-cached rows can be re-stamped or repaired on their
         next touch; anything larger resets all caches.
 
         Returns the dense int ids of the nodes whose strategies changed —
@@ -582,14 +590,12 @@ class CostEngine:
             if not indexed.uniform_lengths:
                 edge_lengths_np = _np.asarray(edge_lengths, dtype=_np.float64)
                 # Integer-valued lengths run the fresh traversals in exact
-                # int64 space; repairs patch the float rows directly (their
-                # entries are those same integers in float form).
+                # int64 space and convert to float rows once at the end.
                 edge_lengths_exact_np = (
                     edge_lengths_np.astype(_np.int64)
                     if indexed.integral_lengths
                     else None
                 )
-            self._rev_csr_np = None
         # Publish the new read-view atomically: one fresh frozen object per
         # version, never a mutation of the previous one — snapshots handed
         # out earlier stay internally consistent forever.
@@ -623,17 +629,6 @@ class CostEngine:
         engine state the kernels and the sweep layer consume.
         """
         return self._snapshot
-
-    def _rev_csr(self):
-        """Return the current snapshot's reverse CSR (numpy backend, lazy).
-
-        Built at most once per profile version and shared by every row repair
-        at that version; ``_rebuild_csr`` resets it on each sync.
-        """
-        if self._rev_csr_np is None:
-            indptr_np, indices_np, _, _ = csr_arrays_of(self._snapshot)
-            self._rev_csr_np = _npk.reverse_csr(indptr_np, indices_np, self.indexed.n)
-        return self._rev_csr_np
 
     def _require_sync(self) -> None:
         if self._strategies is None:
@@ -720,9 +715,12 @@ class CostEngine:
     def _ensure_current(self, u: int) -> None:
         """Bring masked node ``u``'s cached rows up to the current version.
 
-        Still-current entries are untouched; stale entries within the edit
-        log are repaired in place (the invalidation contract's repair step);
-        anything older is dropped so the normal compute path refills it.
+        Still-current entries are untouched.  A stale entry whose edit-log
+        span nets out to nothing for ``u`` is re-stamped; one with real
+        pending edits is repaired in place on the list backend.  Anything
+        else — every real edit on the numpy backend, where a per-row repair
+        costs far more than the row's share of a fused multi-source refill —
+        is dropped so the normal compute path refills it.
         """
         entry = self._env_cache.get(u)
         if entry is not None:
@@ -731,11 +729,11 @@ class CostEngine:
                 return
             if self._repairable(entry[0]):
                 edits = self._pending_edits(u, entry[0])
-                if edits is not None:
+                if edits is not None and not (edits and self._np_traversal):
                     self._repair_node(u, entry, edits)
                     self._ledger.touch(u)
                     return
-            self.stats["rows_evicted"] += self._drop_node(u)
+            self.stats["rows_invalidated"] += self._drop_node(u)
             return
         # No environment rows: any stale derived rows are unusable on their
         # own (they cannot be repaired without the env rows they came from).
@@ -753,7 +751,7 @@ class CostEngine:
             dropped += 1
             freed += _payload_nbytes(combo[2])
         self._ledger.deduct(u, freed)
-        self.stats["rows_evicted"] += dropped
+        self.stats["rows_invalidated"] += dropped
 
     def _pending_edits(
         self, u: int, entry_version: int
@@ -798,6 +796,11 @@ class CostEngine:
         entry: Tuple[int, Dict[int, Row]],
         edits: List[Tuple[int, tuple, tuple]],
     ) -> None:
+        """Re-stamp ``u``'s rows, first patching them for ``edits`` if any.
+
+        Only list-backend engines get here with real edits; a numpy engine
+        only re-stamps (``edits`` empty), see :meth:`_ensure_current`.
+        """
         version = self.version
         entry_version, env_rows = entry
         indexed = self.indexed
@@ -830,11 +833,6 @@ class CostEngine:
             penalty = indexed.penalty
             length_row_u = indexed.length_rows[u]
             inf = math.inf
-            use_np = self._np_traversal
-            if use_np:
-                indptr_np, indices_np, edge_lengths_np, _ = csr_arrays_of(snap)
-                rev_indptr, rev_tails = self._rev_csr()
-                length_matrix = None if uniform else indexed.length_matrix()
             positions: Optional[Dict[int, int]] = None
             for first_hop, row in env_rows.items():
                 hop_row = hop_rows.get(first_hop) if hop_rows is not None else None
@@ -845,24 +843,12 @@ class CostEngine:
                     if hop_rows is not None:
                         hop_rows[first_hop] = hop_row
                 elif uniform:
-                    if use_np:
-                        touched = _npk.repair_hops_csr_np(
-                            indptr_np, indices_np, hop_row,
-                            first_hop, edits, rev_indptr, rev_tails, u,
-                        )
-                    else:
-                        touched = repair_hops_csr(
-                            indptr, indices, hop_row, first_hop, edits, rev, u
-                        )
+                    touched = repair_hops_csr(
+                        indptr, indices, hop_row, first_hop, edits, rev, u
+                    )
                     for t in touched:
                         h = hop_row[t]
                         row[t] = float(h) * unit if h >= 0 else inf
-                elif use_np:
-                    touched = _npk.repair_dijkstra_csr_np(
-                        indptr_np, indices_np, edge_lengths_np,
-                        row, first_hop, edits, rev_indptr, rev_tails,
-                        length_matrix, u,
-                    )
                 else:
                     touched = repair_dijkstra_csr(
                         indptr,
@@ -885,14 +871,8 @@ class CostEngine:
                     through_rows.get(first_hop) if through_rows is not None else None
                 )
                 if through_row is not None:
-                    # float() keeps list-backed through rows plain Python
-                    # floats when `row` is a numpy-backend float64 array
-                    # (same bits, different box).
                     for t in touched:
-                        through_row[t] = float(hop_length + row[t])
-                # Substituted slices are patched straight from the repaired
-                # env row (the numpy sub fast path never materialises a
-                # through row, so a sub row may exist without one).
+                        through_row[t] = hop_length + row[t]
                 sub_row = sub_rows.get(first_hop) if sub_rows is not None else None
                 if sub_row is not None:
                     if positions is None:
@@ -900,7 +880,7 @@ class CostEngine:
                     for t in touched:
                         i = positions.get(t)
                         if i is not None:
-                            d = float(hop_length + row[t])
+                            d = hop_length + row[t]
                             sub_row[i] = d if d < inf else penalty
 
         for cache in self._row_caches():
@@ -1048,10 +1028,10 @@ class CostEngine:
         indexed = self.indexed
         n = indexed.n
         uniform = indexed.uniform_lengths
-        # Stored bytes per row: env float row, plus the hop row kept for
-        # repair on uniform games (int16 from the fused numpy kernel, list
-        # ints on the python fallback — the estimate only shapes chunks; the
-        # ledger charges actual payload bytes).
+        # Bytes per row: the env float row, plus on uniform games the hop
+        # row — cached for repair on the python backend (list ints), built
+        # transiently as int16 by the fused numpy kernel.  The estimate only
+        # shapes chunks; the ledger charges actual payload bytes.
         if uniform:
             per_row = 10 * n if self._np_traversal else 16 * n
         else:
@@ -1169,9 +1149,10 @@ class CostEngine:
 
         Row ``i`` never enters ``masks[i]`` (``-1`` for an unmasked row).
         Returns ``(hops, rows)``: ``rows[i]`` is the float distance row from
-        ``sources[i]``, and on uniform-length games ``hops[i]`` is its exact
-        BFS hop row (kept for int-space repair); ``hops`` is ``None`` on
-        weighted games.  Every call is timed into ``traversal_seconds``.
+        ``sources[i]``, and on uniform-length games of the list backend
+        ``hops[i]`` is its exact BFS hop row (kept for int-space repair);
+        ``hops`` is ``None`` on weighted games and on the numpy backend,
+        which never repairs.  Every call is timed into ``traversal_seconds``.
 
         The list backend runs one single-source kernel per row.  The numpy
         backend takes the single-source frontier kernel for one source and
@@ -1213,14 +1194,14 @@ class CostEngine:
             if exact is not None:
                 lengths = exact
             if len(sources) > 1 and uniform:
-                hops, rows = _npk.bfs_hops_csr_multi(
+                _, rows = _npk.bfs_hops_csr_multi(
                     indptr, indices, n, sources, masks, scale_unit=unit
                 )
             elif len(sources) > 1:
                 rows = _npk.dijkstra_csr_multi(indptr, indices, lengths, n, sources, masks)
             elif uniform:
-                hops = [_npk.bfs_hops_csr_np(indptr, indices, n, sources[0], masks[0])]
-                rows = [_npk.scaled_float_rows(hops[0], unit)]
+                hop_row = _npk.bfs_hops_csr_np(indptr, indices, n, sources[0], masks[0])
+                rows = [_npk.scaled_float_rows(hop_row, unit)]
             else:
                 rows = _npk.dijkstra_csr_np(
                     indptr, indices, lengths, n, sources[0], masks[0]
@@ -1233,8 +1214,8 @@ class CostEngine:
     def _store(self, u: int, first_hops: List[int], hops, rows) -> None:
         """Cache and charge fresh ``d_{G-u}`` rows: the one store path.
 
-        ``rows[i]`` — and on uniform games the exact hop row ``hops[i]``, as
-        :meth:`_traverse` returns them — is the row of first hop
+        ``rows[i]`` — and the exact hop row ``hops[i]`` when
+        :meth:`_traverse` returns one — is the row of first hop
         ``first_hops[i]``.  The rows land in ``u``'s current-version caches,
         count in ``rows_computed`` (and in ``evicted_recomputes`` when ``u``
         lost rows to the budget), and are charged to the ledger.  Callers
@@ -1278,7 +1259,8 @@ class CostEngine:
         Rows are cached per ``(version, u)``; within one version each first
         hop costs at most one SSSP no matter how many strategies probe it,
         and rows stranded at an older version by single-node syncs are
-        repaired in place before use.
+        re-stamped, repaired or refilled before use (see
+        :meth:`_ensure_current`).
 
         The returned row is the *cached object itself* — shared read-only by
         contract (lint rule RPR006).  Callers never mutate it: scorers copy
@@ -1708,7 +1690,7 @@ class StrategyScorer:
             # through value of each target is the same single IEEE sum
             # (`l(u, a) + d`), and the penalty substitution the same
             # elementwise test, so the slice is bit-identical to the list
-            # path.  (Repairs patch sub rows from the env row directly too.)
+            # path.
             env = engine.env_row(self.u, first_hop)
             row = self._length_row[first_hop] + env[self._target_index()]
             row[_np.isinf(row)] = self.penalty

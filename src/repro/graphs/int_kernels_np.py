@@ -30,7 +30,11 @@ per-edge work happens inside numpy's C loops:
   the region's intact in-boundary (one reverse-CSR gather) plus the added
   arcs.  They repair a cached row in place — a plain list (the python
   backend's representation) or an int64/float64 array (the numpy
-  backend's) — writing only the touched entries.
+  backend's) — writing only the touched entries.  The cost engine no
+  longer calls them: a numpy-backend engine refills stale rows in its
+  fused multi-source traversal, which costs far less per row.  They stay,
+  with their parity tests, because the repo benchmark's trace
+  (``perfbench``) still names them as ``graphs.repair`` span targets.
 
 **Bit-identity.**  Hop counts and integer lengths are computed in exact
 ``int64`` space, so equality with the list kernels is literal, and the

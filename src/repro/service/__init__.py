@@ -15,7 +15,8 @@ The layer cake, bottom up:
   to its fault-free run or one of these errors.
 * :mod:`repro.service.metrics` — exact (never sampled) per-game counters:
   query/error tallies, batch coalescing, cache-hit/repair/recompute deltas
-  absorbed from the engine's own stats, and a bounded latency reservoir for
+  (and budget evictions apart from staleness invalidations) absorbed from
+  the engine's own stats, and a bounded latency reservoir for
   p50/p99.  ``stats()`` snapshots are freshly built dicts — alias-free, the
   RPR006 discipline applied to the metrics surface.
 * :mod:`repro.service.catalog` — :class:`GameCatalog` /
@@ -32,8 +33,8 @@ The layer cake, bottom up:
   giant multi-source traversals (PR 6's substrate), bit-identical to
   serving each query alone.
 * :mod:`repro.service.service` — :class:`GameService`: one asyncio worker
-  per game serializing batched reads and single-node updates (the
-  incremental repair path) without locks.
+  per game serializing batched reads and single-node updates (whose stale
+  rows the engine repairs or refills lazily) without locks.
 
 ``docs/service.md`` is the client-facing guide; ``scripts/bench_service.py``
 is the load generator recording ``benchmarks/output/BENCH_service.json``

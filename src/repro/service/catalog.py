@@ -18,10 +18,11 @@ discipline (see the "Snapshot ownership and lifetime" section of
   (:attr:`GameEntry.engine_version`) — equal service versions therefore
   guarantee bit-identical cost reads.
 * Writers go through :meth:`GameEntry.apply_update`, which validates the
-  strategy, syncs the engine (a single-node step rides the incremental
-  repair path — the edit log and lazy row repair of the engine's repair
-  contract — so an update stream never triggers full recomputes), and only
-  then publishes the bumped version.  A rejected update leaves version and
+  strategy, syncs the engine (a single-node step rides the edit log of the
+  engine's repair contract — other nodes' stale rows are repaired lazily on
+  a list-backend engine and refilled in the next giant traversal on a
+  numpy-backend one — so an update stream never triggers full recomputes),
+  and only then publishes the bumped version.  A rejected update leaves version and
   profile untouched.
 * A read may *pin* a version; the entry answers only while the head still
   matches, else raises the documented
@@ -95,8 +96,9 @@ class GameEntry:
         :class:`~repro.core.errors.InvalidStrategy` and the entry stays at
         its current version with its current profile.  The engine sync of a
         committed single-node step is the cheap local case of the engine's
-        repair contract — cached rows of other nodes repair lazily instead
-        of recomputing.
+        repair contract — cached rows of other nodes are repaired lazily
+        (list backend) or refilled by the next giant traversal (numpy
+        backend) instead of all being recomputed at once.
         """
         if self.kind == KIND_FRACTIONAL:
             if not isinstance(strategy, Mapping):

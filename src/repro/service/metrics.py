@@ -26,12 +26,15 @@ from typing import Dict, List, Optional
 #: Engine ``stats`` counters mirrored into a metrics snapshot, renamed to
 #: the service vocabulary.  ``cache_hits`` / ``repairs`` / ``recomputes``
 #: are the three ways an environment-distance row can be served (reused,
-#: patched in place, traversed fresh); the rest qualify them.
+#: patched in place on a list-backend engine, traversed fresh); the rest
+#: qualify them.  ``rows_evicted`` counts memory-budget evictions only;
+#: rows dropped for going stale past repair count in ``rows_invalidated``.
 ENGINE_COUNTER_MAP = {
     "rows_reused": "cache_hits",
     "rows_repaired": "repairs",
     "rows_computed": "recomputes",
     "rows_evicted": "rows_evicted",
+    "rows_invalidated": "rows_invalidated",
     "evicted_recomputes": "evicted_recomputes",
     "giant_batch_traversals": "giant_traversals",
     "giant_batch_rows": "giant_rows",

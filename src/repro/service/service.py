@@ -6,7 +6,9 @@ worker drains **everything currently queued** in one go, executes maximal
 runs of consecutive read queries as one coalesced batch
 (:func:`~repro.service.batching.execute_batch` — the giant-batch traversal
 substrate), and applies strategy updates one at a time between runs (each a
-single-node engine sync, i.e. the incremental repair path).  Because all
+single-node engine sync; the rows it leaves stale are repaired in place by
+list-backend engines and refilled by the next batch's giant traversal on
+numpy-backend ones).  Because all
 work for a game funnels through its worker, the catalog's reader/writer
 version contract holds without locks: reads never observe a half-applied
 update, and an update stream interleaves deterministically with the read

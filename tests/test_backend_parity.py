@@ -8,7 +8,7 @@ Two layers, mirroring ``tests/test_engine_parity.py``:
   disconnected nodes;
 * engine level — ``CostEngine(game, backend="numpy")`` against
   ``backend="python"`` on full equilibrium reports, ``all_costs``, and
-  best-response walk traces (the repair-after-edit path), all required
+  best-response walk traces (the refill-after-edit path), all required
   **bit-identical**.
 
 The backend selector's fallback behaviour (auto resolution, the explicit
@@ -344,8 +344,8 @@ def test_repair_kernels_match_fresh_traversals_np(seed, n, steps, integral):
         for source in range(n):
             if source == forbidden:
                 continue
-            # Hop rows repair in exact int64 space on the array the engine
-            # caches (the single-source kernel's output).
+            # Hop rows repair in exact int64 space on the single-source
+            # kernel's output array.
             hops = npk.bfs_hops_csr_np(indptr0_np, indices0_np, n, source, forbidden)
             touched = npk.repair_hops_csr_np(
                 indptr1_np, indices1_np, hops, source, edits,
@@ -450,7 +450,7 @@ def test_equilibrium_report_bit_identical_across_backends(make_game):
 @needs_numpy
 @pytest.mark.parametrize("uniform", [True, False], ids=["bfs", "dijkstra"])
 def test_walk_trace_bit_identical_across_backends(uniform):
-    """End-to-end walk (syncs, repairs, scoring) pinned across backends."""
+    """End-to-end walk (syncs, repairs or refills, scoring) pinned across backends."""
     game = UniformBBCGame(40, 2) if uniform else _weighted_game(24)
     initial = random_initial_profile(game, seed=3)
     walk_py = run_best_response_walk(
@@ -466,8 +466,10 @@ def test_walk_trace_bit_identical_across_backends(uniform):
 
 
 @needs_numpy
-def test_repeated_rechecks_repair_numpy_rows_bit_identically():
-    """Single-deviation rechecks on a warmed numpy engine repair, not recompute."""
+def test_repeated_rechecks_refill_numpy_rows_bit_identically():
+    """Single-deviation rechecks on a warmed numpy engine refill stale rows in
+    the giant traversal, while the python engine repairs them in place; both
+    stay bit-identical."""
     game = UniformBBCGame(32, 2)
     rng = random.Random(1)
     nodes = list(game.nodes)
@@ -483,7 +485,109 @@ def test_repeated_rechecks_repair_numpy_rows_bit_identically():
         report_np = equilibrium_report(game, profile, engine=engine_np)
         report_py = equilibrium_report(game, profile, engine=engine_py)
         assert report_np.responses == report_py.responses
-    assert engine_np.stats["rows_repaired"] > 0
+    assert engine_np.stats["rows_repaired"] == 0
+    assert engine_py.stats["rows_repaired"] > 0
+
+
+@pytest.fixture
+def numpy_repair_kernels_raise(monkeypatch):
+    """Make any call of the vectorised repair kernels fail the test."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy-backend engines must not repair rows")
+
+    monkeypatch.setattr(npk, "repair_hops_csr_np", refuse)
+    monkeypatch.setattr(npk, "repair_dijkstra_csr_np", refuse)
+
+
+def _step(game, profile, mover=0):
+    """``profile`` with ``mover`` switched to a different feasible strategy."""
+    old = profile.strategy(mover)
+    others = [v for v in game.nodes if v != mover and v not in old]
+    return profile.with_strategy(mover, frozenset(others[:2]))
+
+
+@needs_numpy
+@pytest.mark.parametrize(
+    "make_game",
+    [lambda: UniformBBCGame(20, 2), lambda: _weighted_game(20)],
+    ids=["uniform-bfs", "weighted-int"],
+)
+def test_numpy_engine_refills_stale_rows_in_the_giant_traversal(
+    make_game, numpy_repair_kernels_raise
+):
+    """After a single-node step, a numpy engine's stale rows are refilled by
+    the next report's fused traversal, never repaired one at a time."""
+    game = make_game()
+    profile = random_initial_profile(game, seed=9)
+    engine = CostEngine(game, backend="numpy")
+    first = equilibrium_report(game, profile, engine=engine)
+    assert first.responses == equilibrium_report(game, profile, engine=False).responses
+    moved = _step(game, profile)
+    engine.sync(moved)
+    stale_rows = sum(
+        len(rows) for version, rows in engine._env_cache.values()
+        if version != engine.version
+    )
+    assert stale_rows > 0
+    giant_rows_before = engine.stats["giant_batch_rows"]
+    second = equilibrium_report(game, moved, engine=engine)
+    reference = equilibrium_report(game, moved, engine=False)
+    assert second.responses == reference.responses
+    assert second.max_regret == reference.max_regret
+    assert engine.stats["giant_batch_rows"] - giant_rows_before >= stale_rows
+    assert engine.stats["rows_repaired"] == 0
+    assert not engine._hop_cache
+
+
+@needs_numpy
+def test_service_read_batch_after_update_refills_numpy_rows(
+    numpy_repair_kernels_raise,
+):
+    """A coalesced read batch after an update, on a numpy-backend service
+    entry, answers exactly what the direct library calls answer."""
+    import asyncio
+
+    from repro.service import GameService, Query
+
+    game = UniformBBCGame(20, 2)
+    profile = random_initial_profile(game, seed=4)
+    moved = _step(game, profile)
+    queries = [
+        Query(kind="cost", node=3),
+        Query(kind="best_response", node=5),
+        Query(kind="what_if", node=7, strategy=(1, 2)),
+        Query(kind="report"),
+    ]
+
+    async def scenario():
+        async with GameService() as svc:
+            svc.register("g", game, profile=profile, backend="numpy")
+            await svc.gather("g", [Query(kind="report")])
+            update = await svc.update("g", 0, sorted(moved.strategy(0)))
+            assert update.ok
+            return await svc.gather("g", queries)
+
+    cost, response, what_if, report = asyncio.run(scenario())
+    assert all(r.ok and r.version == 2 for r in (cost, response, what_if, report))
+    assert cost.payload == game.node_cost(moved, 3)
+    direct = best_response(game, moved, 5, engine=False)
+    assert response.payload == {
+        "node": 5,
+        "current_cost": direct.current_cost,
+        "best_cost": direct.best_cost,
+        "regret": direct.regret,
+        "improved": direct.improved,
+        "best_strategy": sorted(direct.best_strategy, key=repr),
+    }
+    assert what_if.payload == game.node_cost(moved.with_strategy(7, {1, 2}), 7)
+    direct_report = equilibrium_report(game, moved, engine=False)
+    assert report.payload == {
+        "is_equilibrium": direct_report.is_equilibrium,
+        "max_regret": direct_report.max_regret,
+        "unstable_nodes": sorted(direct_report.unstable_nodes, key=repr),
+        "nodes_checked": game.num_nodes,
+    }
 
 
 @needs_numpy

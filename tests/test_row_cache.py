@@ -4,7 +4,7 @@ PR 5's row-*count* cap overflowed silently: crossing it dropped rows with no
 signal, and the cap's byte footprint scaled with n² behind the caller's
 back.  These tests drive a long random walk of profile edits and restricted
 probes at n = 1024 — big enough that real numpy rows, giant-batch chunks,
-repairs, and evictions all occur — and pin the new contract: cache bytes
+stale-row refills, and evictions all occur — and pin the new contract: cache bytes
 never exceed ``memory_budget_bytes``, evictions are counted (not silent),
 evicted rows re-enter via recompute, and a budget-starved engine returns
 bit-identical results to an unbudgeted one.
@@ -73,7 +73,7 @@ def test_long_walk_at_n_1024_stays_within_budget_and_counts_evictions():
     rng = random.Random(3)
     nodes = list(game.nodes)
     # Probe a small pool round-robin so later probes revisit nodes whose
-    # chunks were evicted in between — the repair-vs-recompute-after-eviction
+    # chunks were evicted in between — the refill-vs-recompute-after-eviction
     # path — while movers range over the whole game.
     probe_pool = rng.sample(nodes, 12)
     for step in range(40):
@@ -89,8 +89,8 @@ def test_long_walk_at_n_1024_stays_within_budget_and_counts_evictions():
         # inside every charging site, so the cache never ends a probe over
         # budget (the exempt in-flight working set is far below 1 MiB here).
         assert engine.cache_bytes() <= budget
-        # Single-node profile step: the next probes exercise repair and
-        # repair-after-eviction paths under budget pressure.
+        # Single-node profile step: the next probes exercise the stale-row
+        # refill and refill-after-eviction paths under budget pressure.
         mover = rng.choice(nodes)
         profile = profile.with_strategy(
             mover, frozenset(rng.sample([v for v in nodes if v != mover], 2))
@@ -132,3 +132,22 @@ def test_budget_holds_for_probes_after_a_report():
             engine.indexed.index[node]
         )
     assert engine.stats["chunks_evicted"] > 0
+
+
+@pytest.mark.skipif(not HAVE_NUMPY, reason="the refill policy is the numpy backend's")
+def test_stale_drops_count_as_invalidations_not_evictions():
+    """``rows_evicted`` means budget pressure only: with an ample budget, the
+    rows a numpy engine drops for going stale after one step are counted in
+    ``rows_invalidated`` instead."""
+    game = UniformBBCGame(24, 2)
+    profile = random_initial_profile(game, seed=6)
+    engine = CostEngine(game, backend="numpy", memory_budget_bytes=1 << 30)
+    equilibrium_report(game, profile, engine=engine)
+    mover = 0
+    others = [v for v in game.nodes if v != mover and v not in profile.strategy(mover)]
+    moved = profile.with_strategy(mover, frozenset(others[:2]))
+    recheck = equilibrium_report(game, moved, engine=engine)
+    assert recheck.responses == equilibrium_report(game, moved, engine=False).responses
+    assert engine.stats["rows_evicted"] == 0
+    assert engine.stats["chunks_evicted"] == 0
+    assert engine.stats["rows_invalidated"] > 0
