@@ -7,6 +7,7 @@ sweeps up to n = 12 and certifies every final profile with an independent
 :func:`epsilon_equilibrium_report`.
 """
 
+import pytest
 from conftest import save_table
 
 from repro.analysis import format_table
@@ -17,6 +18,11 @@ from repro.core import (
     iterated_best_response,
 )
 from repro.experiments import random_preference_game
+
+try:
+    import scipy  # noqa: F401
+except ImportError:
+    scipy = None
 
 
 def run_fractional():
@@ -57,6 +63,9 @@ def run_fractional():
     return rows
 
 
+@pytest.mark.skipif(
+    scipy is None, reason="fractional best responses solve LPs and require scipy"
+)
 def test_thm3_fractional_equilibria_exist(benchmark):
     rows = benchmark.pedantic(run_fractional, rounds=1, iterations=1)
     table = format_table(

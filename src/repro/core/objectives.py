@@ -27,9 +27,18 @@ class Objective(enum.Enum):
     MAX = "max"
 
     def aggregate(self, weighted_distances: Mapping[Node, float]) -> float:
-        """Aggregate a ``{target: weight * distance}`` mapping into a cost."""
+        """Aggregate a ``{target: weight * distance}`` mapping into a cost.
+
+        SUM adds left to right in mapping order, in an explicit loop: the
+        builtin ``sum()`` compensates float rounding since Python 3.12, and
+        the cost engine's scoring loops add left to right, so this keeps the
+        two bit-identical on every Python version.
+        """
         if self is Objective.SUM:
-            return float(sum(weighted_distances.values()))
+            total = 0.0
+            for value in weighted_distances.values():
+                total += value
+            return float(total)
         if not weighted_distances:
             return 0.0
         return float(max(weighted_distances.values()))

@@ -47,8 +47,9 @@ than by a flag:
   the region's intact in-boundary (the engine maintains the reverse
   adjacency for this).  Hop rows repair in exact int space before
   rescaling, so repaired rows are **bit-identical** to recomputation;
-  derived rows (through rows, penalty-substituted slices, batched
-  combination cost vectors) are patched at the touched indices only.  When
+  the node's one kind of derived row (a through row or a batch slice, see
+  the scoring spec below) and its batched combination cost vector are
+  patched at the touched indices only.  When
   repair would not pay — more pending net movers than
   ``_repair_edit_limit`` (the affected region would approach the whole
   row), a row older than the ``REPAIR_LOG_LIMIT``-entry log, or tiny games
@@ -91,9 +92,9 @@ bit for bit.  Batched entry points (the probe prefetch in
 :func:`repro.core.best_response._resolve_scorer` and `score_combinations`,
 plus ``all_costs``) pull every row a probe can touch out of one multi-source
 traversal.  The numpy backend stores cached rows as float64/int64 arrays
-(the python backend keeps lists), but derived results — through rows, costs,
-regrets — stay plain Python floats, so every scorer fast path, cache
-contract, and result type above the kernels is shared;
+(the python backend keeps lists), but results — costs, regrets — stay
+plain Python floats, so every scorer, cache contract, and result type above
+the kernels is shared;
 ``tests/test_backend_parity.py`` pins kernel-level and end-to-end parity
 and ``scripts/bench_speed.py --backend`` records the python-vs-numpy
 trajectory at n in {64, 256, 1024} (>=3x on Dijkstra-backed equilibrium
@@ -141,19 +142,33 @@ budget by more than the probed node's working set.
 and a stream of probes after a report, and pins that bound throughout with
 bit-identical results.
 
-**The vectorised scoring spec.**  When numpy is importable (optional — every
-path degrades to the original loops without it), scoring of SUM-objective
-unit-weight nodes whose disconnection penalty dominates every finite
-distance keeps per-first-hop *penalty-substituted target slices* and reduces
-them at C level; on games whose lengths and penalty are integer-valued
-(:attr:`IndexedGame.exact_sums` — every default game) whole strategy sets
-are scored in one vectorised pass
-(:meth:`~repro.engine.cost_engine.StrategyScorer.score_combinations`), with
-the per-environment cost vector cached and patched through repairs.
-Exactness of integer float sums below ``2**53`` is what makes the reordered
-reductions bit-identical to the reference's left-to-right loops; games
-failing any gate (MAX objective, non-unit weights, small penalties,
-non-integer lengths, fewer than 16 targets) stay on the original code path.
+**The scoring spec: one derived row per node.**  A node's cost is one
+reduction over its positive-weight targets of ``min_a l(u, a) + d_{G-u}(a,
+t)`` (SUM or MAX), and the engine caches exactly one kind of derived row per
+``(node, first hop)`` for it, fixed per node by the game
+(:meth:`CostEngine._batch_node`):
+
+* **batch nodes** — SUM objective, unit weights, a disconnection penalty
+  that dominates every finite distance, at least
+  :data:`~repro.engine.cost_engine.BATCH_MIN_TARGETS` targets, integer-valued
+  lengths and penalty (:attr:`IndexedGame.exact_sums` — every default game),
+  and numpy importable — keep float64 *penalty-substituted target slices*,
+  built straight from the environment rows in one broadcast per batch of
+  missing first hops on either backend, and reduce them with numpy; whole
+  strategy sets are scored in one vectorised pass
+  (:meth:`~repro.engine.cost_engine.StrategyScorer.score_combinations`),
+  with the per-environment cost vector cached and patched through repairs.
+  Exactness of integer float sums below ``2**53`` is what makes the
+  reordered reductions bit-identical to the reference;
+* **every other node** keeps full *through rows* ``l(u, a) + d_{G-u}(a,
+  ·)`` and scores them with the unit-weight, weighted-SUM and MAX loops,
+  which add left to right exactly like
+  :meth:`~repro.core.objectives.Objective.aggregate` — so engine and
+  reference agree on every Python version, whatever ``sum()`` does.
+
+Both kinds live in one version-stamped cache behind
+:meth:`CostEngine.derived_rows` and are charged to the ledger through one
+path; without numpy every node is a loop node.
 
 **The sweep contract.**  Multi-profile workloads (exhaustive / sampled
 equilibrium search, the Figure 4 completion scan) go through

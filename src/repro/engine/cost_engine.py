@@ -34,6 +34,12 @@ weighted lengths, exact-int lengths, one source or many) and, when it is
 cached, one store path (:meth:`CostEngine._store`: row caches, counters,
 ledger charge).
 
+Scoring reads one *derived* row per ``(node, first hop)``, of one kind per
+node (:meth:`CostEngine._batch_node`): penalty-substituted float64 target
+slices for batch nodes, full through rows ``l(u, a) + d_{G-u}(a, ·)`` for
+the rest — one cache, one accessor (:meth:`CostEngine.derived_rows`), one
+ledger charge (:meth:`CostEngine._note_derived`), one repair patch.
+
 Memory is bounded in *bytes*, not rows: every cached row is charged to a
 :class:`~repro.engine.row_store.ChunkLedger` and whole LRU chunks are
 evicted once ``memory_budget_bytes`` is exceeded (see
@@ -176,6 +182,11 @@ def resolve_backend(backend, n: int, uniform_lengths: bool = False) -> str:
         f"unknown traversal backend {backend!r}: expected 'auto', 'numpy', or 'python'"
     )
 
+#: Below this many targets a node's fixed per-call overhead of numpy batch
+#: scoring loses to the plain scoring loops, so small games stay on the loops
+#: end to end.
+BATCH_MIN_TARGETS = 16
+
 #: Cached ``numpy.triu_indices`` pairs keyed by candidate count — shared by
 #: every engine because they only depend on the count.
 _TRIU_CACHE: Dict[int, tuple] = {}
@@ -227,6 +238,10 @@ class CostEngine:
     numpy backend cached rows are float64/int64 arrays instead of lists;
     every cost, regret, and trace stays bit-identical across backends, and
     results keep plain Python float types.
+
+    Each node caches one kind of derived row per first hop — a batch slice
+    or a through row, as :meth:`_batch_node` fixes it — in
+    :meth:`derived_rows`; :class:`StrategyScorer` fills and reduces them.
 
     ``memory_budget_bytes`` bounds the total bytes of cached rows
     (:func:`default_memory_budget` when ``None``); crossing it evicts whole
@@ -281,6 +296,14 @@ class CostEngine:
         # edit sequences.
         n = self.indexed.n
         self._repair_edit_limit = n // 8 if n >= 16 else 0
+        # The game-wide half of the batch-node test (see _batch_node).
+        indexed = self.indexed
+        self._batch_game = (
+            _np is not None
+            and indexed.objective is Objective.SUM
+            and indexed.penalty_dominates
+            and indexed.exact_sums
+        )
         #: Bumped on every observed profile change; all caches key on it.
         self.version = 0
         # The exact profile object of the last successful sync (profiles are
@@ -314,20 +337,16 @@ class CostEngine:
         self._edits: Dict[int, Tuple[int, frozenset]] = {}
         # masked node u -> (version, {first hop a -> distance row})
         self._env_cache: Dict[int, Tuple[int, Dict[int, Row]]] = {}
-        # masked node u -> (version, {first hop a -> l(u,a) + env row}); same
-        # lifecycle as _env_cache, so same-version probes of a node skip even
-        # the O(n)-per-hop through-row materialisation.
-        self._through_cache: Dict[int, Tuple[int, Dict[int, Row]]] = {}
-        # masked node u -> (version, {first hop a -> penalty-substituted
-        # target slice of the through row}); the C-level scoring fast path
-        # (see StrategyScorer) reduces over these directly.
-        self._sub_cache: Dict[int, Tuple[int, Dict[int, Row]]] = {}
+        # masked node u -> (version, {first hop a -> derived row}, see
+        # derived_rows); same lifecycle as _env_cache, so same-version probes
+        # of a node skip even the O(n)-per-hop derivation.
+        self._derived_cache: Dict[int, Tuple[int, Dict[int, Row]]] = {}
         # masked node u -> (version, {first hop a -> raw BFS hop row}); kept
         # for uniform games on the list backend only, because hop repair
         # must happen in exact int space before rescaling to floats.
         self._hop_cache: Dict[int, Tuple[int, Dict[int, List[int]]]] = {}
         # node u -> {target node -> position in u's target row} (lazy), for
-        # patching substituted slices after a repair.
+        # patching a batch node's derived slices after a repair.
         self._target_pos: Dict[int, Dict[int, int]] = {}
         # masked node u -> (version, (size, candidates), cost vector): the
         # batched costs of *every* candidate strategy of u against its
@@ -337,7 +356,7 @@ class CostEngine:
         # then skips almost all scoring work.
         self._combo_cache: Dict[int, Tuple[int, tuple, object]] = {}
         # Byte budget for cached rows (environment rows plus the derived
-        # through / substituted / hop rows and combination vectors): a full
+        # and hop rows and combination vectors): a full
         # equilibrium check wants all rows live (total reuse), but at large n
         # that is O(n^2) bytes per dozen nodes, so every cached payload is
         # charged to the chunk ledger and whole least-recently-used chunks
@@ -373,7 +392,7 @@ class CostEngine:
         self._plan_version = -1
         self._plan_chunks: List[List[Tuple[int, List[int]]]] = []
         self._plan_chunk_of: Dict[int, int] = {}
-        # Nodes whose warm through dict was already counted into rows_reused
+        # Nodes whose warm derived dict was already counted into rows_reused
         # at the current version (so repeated probes do not inflate the stat).
         self._reuse_counted: set = set()
         # (version, {label: cost}) for the whole profile
@@ -555,8 +574,7 @@ class CostEngine:
 
     def _clear_row_caches(self) -> None:
         self._env_cache.clear()
-        self._through_cache.clear()
-        self._sub_cache.clear()
+        self._derived_cache.clear()
         self._hop_cache.clear()
         self._combo_cache.clear()
         self._ledger.clear()
@@ -650,14 +668,14 @@ class CostEngine:
     # Lazy repair
     # ------------------------------------------------------------------ #
     def _row_caches(self) -> Tuple[Dict[int, Tuple[int, dict]], ...]:
-        return (self._env_cache, self._through_cache, self._sub_cache, self._hop_cache)
+        return (self._env_cache, self._derived_cache, self._hop_cache)
 
     def _drop_node(self, u: int) -> int:
         """Remove every cached row of masked node ``u``; returns rows dropped.
 
         Eviction is always node-granular: a node loses its environment rows
-        and every derived (through / substituted / hop / combination) row in
-        one stroke.  That is what keeps eviction repair-compatible — the
+        and every derived, hop and combination row in one stroke.  That is
+        what keeps eviction repair-compatible — the
         engine never holds a derived row whose environment base is gone, so
         a later :meth:`_repair_node` can never patch values whose base row
         was silently recomputed from a different version.
@@ -739,7 +757,7 @@ class CostEngine:
         # own (they cannot be repaired without the env rows they came from).
         dropped = 0
         freed = 0
-        for cache in (self._through_cache, self._sub_cache, self._hop_cache):
+        for cache in (self._derived_cache, self._hop_cache):
             stale = cache.get(u)
             if stale is not None and stale[0] != self.version:
                 del cache[u]
@@ -817,8 +835,7 @@ class CostEngine:
                 return None
             return stale[1]
 
-        through_rows = live(self._through_cache)
-        sub_rows = live(self._sub_cache)
+        derived_rows = live(self._derived_cache)
         hop_rows = live(self._hop_cache)
 
         rows_changed = False
@@ -833,6 +850,7 @@ class CostEngine:
             penalty = indexed.penalty
             length_row_u = indexed.length_rows[u]
             inf = math.inf
+            batch = self._batch_node(u)
             positions: Optional[Dict[int, int]] = None
             for first_hop, row in env_rows.items():
                 hop_row = hop_rows.get(first_hop) if hop_rows is not None else None
@@ -866,22 +884,23 @@ class CostEngine:
                     continue
                 rows_changed = True
                 changed_hops.append(first_hop)
-                hop_length = length_row_u[first_hop]
-                through_row = (
-                    through_rows.get(first_hop) if through_rows is not None else None
+                derived = (
+                    derived_rows.get(first_hop) if derived_rows is not None else None
                 )
-                if through_row is not None:
-                    for t in touched:
-                        through_row[t] = hop_length + row[t]
-                sub_row = sub_rows.get(first_hop) if sub_rows is not None else None
-                if sub_row is not None:
+                if derived is None:
+                    continue
+                hop_length = length_row_u[first_hop]
+                if batch:  # target slice, penalty substituted
                     if positions is None:
                         positions = self._target_positions(u)
                     for t in touched:
                         i = positions.get(t)
                         if i is not None:
                             d = hop_length + row[t]
-                            sub_row[i] = d if d < inf else penalty
+                            derived[i] = d if d < inf else penalty
+                else:  # full through row
+                    for t in touched:
+                        derived[t] = hop_length + row[t]
 
         for cache in self._row_caches():
             stale = cache.get(u)
@@ -893,8 +912,8 @@ class CostEngine:
                 # No row value moved, so the batched cost vector of every
                 # candidate strategy against u's environment is still exact.
                 self._combo_cache[u] = (version, combo[1], combo[2])
-            elif sub_rows is not None and self._update_combo(
-                combo, changed_hops, sub_rows
+            elif derived_rows is not None and self._update_combo(
+                combo, changed_hops, derived_rows
             ):
                 self._combo_cache[u] = (version, combo[1], combo[2])
             else:
@@ -905,13 +924,13 @@ class CostEngine:
         self,
         combo: Tuple[int, tuple, object],
         changed_hops: List[int],
-        sub_rows: Dict[int, Row],
+        derived_rows: Dict[int, Row],
     ) -> bool:
         """Patch a cached combination cost vector after a row repair, in place.
 
         Only the combinations containing a changed first hop can have moved,
-        so their entries are re-reduced from the (already patched)
-        substituted rows — bit-identical to a full rebuild, at a cost
+        so their entries are re-reduced from the (already patched) derived
+        rows of the batch node — bit-identical to a full rebuild, at a cost
         proportional to the changed hops.  Returns ``False`` when patching
         would not pay off (too many hops moved, or a needed row is gone), in
         which case the caller drops the vector instead.
@@ -927,14 +946,14 @@ class CostEngine:
                 i = index_of.get(hop)
                 if i is None:
                     continue
-                row = sub_rows.get(hop)
+                row = derived_rows.get(hop)
                 if row is None:
                     return False
                 vector[i] = row.sum()
             return True
         rows = []
         for c in candidates:
-            row = sub_rows.get(c)
+            row = derived_rows.get(c)
             if row is None:
                 return False
             rows.append(row)
@@ -1375,19 +1394,22 @@ class CostEngine:
             if self._ledger.bytes > self.memory_budget_bytes:
                 self._evict_over_budget(keep={u})
 
-    def through_rows(self, u: int) -> Dict[int, Row]:
-        """Return the current-version through-row dict for masked node ``u``.
+    def derived_rows(self, u: int) -> Dict[int, Row]:
+        """Return the current-version derived-row dict for masked node ``u``.
 
-        A through row is ``l(u, a) + d_{G-u}(a, ·)`` for one first hop ``a``;
-        scorers fill the dict lazily and, because it lives on the engine, a
-        later probe of the same node at the same version starts warm (after
-        any pending in-place repair).
+        One row per first hop ``a``, of the one kind :meth:`_batch_node`
+        fixes for ``u``: a batch node's float64 target slice of
+        ``l(u, a) + d_{G-u}(a, ·)`` with the disconnection penalty
+        substituted for ``inf``, or any other node's full list through row
+        ``l(u, a) + d_{G-u}(a, ·)``.  Scorers fill the dict lazily and,
+        because it lives on the engine, a later probe of the same node at
+        the same version starts warm (after any pending in-place repair).
         """
         self._ensure_current(u)
-        entry = self._through_cache.get(u)
+        entry = self._derived_cache.get(u)
         if entry is None:
             rows: Dict[int, Row] = {}
-            self._through_cache[u] = (self.version, rows)
+            self._derived_cache[u] = (self.version, rows)
         else:
             rows = entry[1]
             if rows and u not in self._reuse_counted:
@@ -1398,45 +1420,32 @@ class CostEngine:
                 self.stats["rows_reused"] += len(rows)
         return rows  # repro: readonly — live cache dict, filled lazily by scorers
 
-    def sub_rows(self, u: int) -> Dict[int, Row]:
-        """Return the penalty-substituted target slices for masked node ``u``.
+    def _batch_node(self, u: int) -> bool:
+        """Whether ``u``'s derived rows are batch slices rather than through rows.
 
-        One slice per first hop: the through row sampled at ``u``'s positive
-        targets, with unreachable entries replaced by the disconnection
-        penalty.  Only valid (and only built) when the penalty dominates
-        every finite distance — see :attr:`IndexedGame.penalty_dominates` —
-        which is what lets the scoring fast path reduce over the slices with
-        C-level ``min``/``sum``.
+        Batch nodes are the SUM-objective, unit-weight nodes with at least
+        :data:`BATCH_MIN_TARGETS` targets, with numpy importable, in games
+        whose penalty dominates every finite distance (so substituting it
+        for ``inf`` commutes with ``min``) and whose sums are exact (see
+        :attr:`IndexedGame.exact_sums`: numpy's pairwise summation order
+        then gives the loops' bits).  Fixed per node for the engine's life.
         """
-        self._ensure_current(u)
-        rows = self._current_rows(self._sub_cache, u)
-        return rows  # repro: readonly — live cache dict, filled lazily by scorers
+        indexed = self.indexed
+        return (
+            self._batch_game
+            and indexed.unit_weight_nodes[u]
+            and len(indexed.target_rows[u]) >= BATCH_MIN_TARGETS
+        )
 
-    def _note_derived_row(
-        self, u: int, cache_name: str, rows: Dict[int, Row], row
-    ) -> None:
-        """Charge one newly materialised derived row against the byte budget.
+    def _note_derived(self, u: int, rows: Dict[int, Row], nbytes: int) -> None:
+        """Charge ``nbytes`` of newly derived rows of ``u`` against the budget.
 
         ``rows`` is the scorer's dict; if eviction already detached it from
-        the engine cache the row lives outside the cache (garbage once the
+        the engine cache the rows live outside the cache (garbage once the
         scorer dies) and must not be charged, or the ledger would drift above
         the caches' real contents and thrash eviction for the whole version.
         """
-        cache = self._through_cache if cache_name == "through" else self._sub_cache
-        entry = cache.get(u)
-        if entry is None or entry[1] is not rows:
-            return
-        self._ledger.add(u, _payload_nbytes(row))
-        if self._ledger.bytes > self.memory_budget_bytes:
-            self._evict_over_budget(keep={u})
-
-    def _note_derived_batch(
-        self, u: int, cache_name: str, rows: Dict[int, Row], nbytes: int
-    ) -> None:
-        """Batch form of :meth:`_note_derived_row`: one ledger charge and one
-        budget check for a whole batch of equal-shaped rows."""
-        cache = self._through_cache if cache_name == "through" else self._sub_cache
-        entry = cache.get(u)
+        entry = self._derived_cache.get(u)
         if entry is None or entry[1] is not rows:
             return
         self._ledger.add(u, nbytes)
@@ -1532,15 +1541,20 @@ class StrategyScorer:
     """Fast repeated scoring of candidate strategies for one node.
 
     Bound to one ``(engine, version, node)``; per candidate first hop ``a``
-    it lazily materialises the *through* row ``l(u, a) + d_{G-u}(a, ·)`` so
-    that scoring a strategy is nothing but elementwise mins over cached
-    lists.  For SUM-objective, unit-weight nodes of games whose
-    disconnection penalty dominates every finite distance (every default
-    game), it additionally keeps per-hop penalty-substituted target slices
-    and reduces them with C-level ``sum(map(min, ...))`` — value-identical
-    to the reference loop because substituting the penalty for ``inf``
-    commutes with ``min`` exactly when the penalty is at least every finite
-    distance.  Invalid to use after the engine syncs to a different profile.
+    it lazily materialises the node's one kind of derived row (see
+    :meth:`CostEngine.derived_rows`), so that scoring a strategy is nothing
+    but elementwise mins over cached rows.  A *batch node*
+    (:meth:`CostEngine._batch_node`) keeps float64 penalty-substituted
+    target slices, built straight from the environment rows in one
+    broadcast per batch of missing hops, and reduces them with numpy —
+    value-identical to the reference loop because substituting the penalty
+    for ``inf`` commutes with ``min`` when the penalty is at least every
+    finite distance, and because exact sums make the summation order
+    irrelevant.  Every other node keeps full through rows
+    ``l(u, a) + d_{G-u}(a, ·)`` and scores them with the unit-weight,
+    weighted-SUM or MAX loops, which add left to right exactly like
+    :meth:`~repro.core.objectives.Objective.aggregate`.  Invalid to use
+    after the engine syncs to a different profile.
     """
 
     __slots__ = (
@@ -1552,12 +1566,10 @@ class StrategyScorer:
         "penalty",
         "is_sum",
         "unit_weights",
-        "fast_sum",
         "fast_batch",
         "identity_labels",
         "_length_row",
-        "_through",
-        "_sub",
+        "_rows",
         "_target_idx",
         "_version",
     )
@@ -1572,84 +1584,59 @@ class StrategyScorer:
         self.penalty = indexed.penalty
         self.is_sum = indexed.objective is Objective.SUM
         # Multiplying by an exact 1.0 weight is the identity, so the unit-weight
-        # fast path below stays bit-identical to the reference oracle.
+        # loops below stay bit-identical to the reference oracle.
         self.unit_weights = indexed.unit_weight_nodes[u]
-        # Below ~16 targets the fixed per-call overhead of the substituted-row
-        # machinery (and of numpy) loses to the plain loops, so small games
-        # stay on the original code path end to end.
-        self.fast_sum = (
-            self.is_sum
-            and self.unit_weights
-            and indexed.penalty_dominates
-            and len(self.targets) >= 16
-        )
-        # The batch path sums in vectorised (pairwise) order, which is only
-        # bit-identical to the reference's left-to-right loop when every sum
-        # is exact — see IndexedGame.exact_sums.
-        self.fast_batch = self.fast_sum and indexed.exact_sums and _np is not None
+        self.fast_batch = engine._batch_node(u)
         self.identity_labels = indexed.identity_labels
         self._length_row = indexed.length_rows[u]
-        self._through = engine.through_rows(u)
-        self._sub = engine.sub_rows(u) if self.fast_sum else None
+        self._rows = engine.derived_rows(u)
         self._target_idx = None  # int64 target indices, built on first use
         self._version = engine.version
 
     def _through_row(self, first_hop: int) -> Row:
-        row = self._through.get(first_hop)
-        if row is None:
-            hop_length = self._length_row[first_hop]
-            env = self.engine.env_row(self.u, first_hop)
-            if self.engine._np_traversal:
-                # Numpy-backend env rows are float64 arrays; the vectorised
-                # sum is the same one IEEE addition per entry, and tolist()
-                # keeps through rows (and everything scored off them) plain
-                # Python floats on every backend.
-                row = (hop_length + env).tolist()
-            else:
-                row = [hop_length + d for d in env]
-            self._through[first_hop] = row
-            self.engine._note_derived_row(self.u, "through", self._through, row)
+        """Derive and cache the through row of ``first_hop`` (loop nodes)."""
+        engine = self.engine
+        hop_length = self._length_row[first_hop]
+        env = engine.env_row(self.u, first_hop)
+        if engine._np_traversal:
+            # Numpy-backend env rows are float64 arrays; the vectorised
+            # sum is the same one IEEE addition per entry, and tolist()
+            # keeps through rows (and everything scored off them) plain
+            # Python floats on every backend.
+            row = (hop_length + env).tolist()
+        else:
+            row = [hop_length + d for d in env]
+        self._rows[first_hop] = row
+        engine._note_derived(self.u, self._rows, _payload_nbytes(row))
         return row
 
     def _target_index(self) -> "_np.ndarray":
         if self._target_idx is None:
-            targets = self.targets
-            if len(targets) == self.engine.indexed.n - 1:
-                # Complete target set: targets are exactly every node but
-                # u, in increasing id order (IndexedGame builds target
-                # rows sorted), so the index vector is an arange with a
-                # gap at u — O(n) with no per-element Python boxing,
-                # which matters when n is in the tens of thousands.
-                idx = _np.arange(len(targets), dtype=_np.int64)
-                idx[self.u:] += 1
-                self._target_idx = idx
-            else:
-                self._target_idx = _np.asarray(targets, dtype=_np.int64)
+            self._target_idx = _np.asarray(self.targets, dtype=_np.int64)
         return self._target_idx
 
-    def _build_sub_rows(self, missing: List[int]):
-        """Build and cache every ``missing`` sub row in one broadcast.
+    def _batch_rows(self, missing: List[int]):
+        """Derive and cache the batch rows of every ``missing`` first hop.
 
-        Numpy fast-batch path only (returns ``None`` otherwise): each entry
-        is the same single IEEE sum and the same penalty test as
-        :meth:`_sub_row`'s, so the rows (stored as views of the returned
-        ``(len(missing), targets)`` batch) are bit-identical — only the
-        numpy dispatch count changes.
+        Batch nodes only, on either backend.  One broadcast over the stacked
+        environment rows: each entry is the single IEEE sum ``l(u, a) + d``
+        with the penalty substituted for ``inf``, so a row is the same
+        whether it was built alone or with others — a single row is a batch
+        of one.  The rows are stored as views of the returned
+        ``(len(missing), targets)`` matrix.
         """
         engine = self.engine
-        if not missing or not self.fast_batch or not engine._np_traversal:
-            return None
         u = self.u
         targets = self.targets
-        # One sync/plan/version check for the whole batch; the prefetch that
-        # preceded this call left every row resident, so the per-row work is
-        # a dict hit (env_row stays the fallback for anything evicted in
-        # between).
+        # One sync/plan/version check for the whole batch; rows a prefetch
+        # left resident are a dict hit.  env_row stays the path for anything
+        # else, and for every row while cache hits are sampled for
+        # self-verification.
         engine._require_sync()
         engine._maybe_run_plan(u)
         engine._ensure_current(u)
         entry = engine._env_cache.get(u)
-        cached = entry[1] if entry is not None else {}
+        cached = entry[1] if entry is not None and engine.verify_every is None else {}
         hits = 0
 
         def env_for(a):
@@ -1662,9 +1649,9 @@ class StrategyScorer:
 
         envs = _np.stack([env_for(a) for a in missing])
         if len(targets) == engine.indexed.n - 1:
-            # Complete target set: dropping column u is two contiguous
-            # block copies, far cheaper than a fancy-index gather of
-            # 99.9% of the matrix.
+            # Complete target set (every node but u, in id order): dropping
+            # column u is two contiguous block copies, far cheaper than a
+            # fancy-index gather of almost the whole matrix.
             batch = _np.concatenate((envs[:, :u], envs[:, u + 1:]), axis=1)
         else:
             batch = envs[:, self._target_index()]
@@ -1674,46 +1661,19 @@ class StrategyScorer:
         )
         batch += hop_lengths[:, None]
         batch[_np.isinf(batch)] = self.penalty
-        sub = self._sub
+        rows = self._rows
         for j, a in enumerate(missing):
-            sub[a] = batch[j]
-        engine._note_derived_batch(
-            self.u, "sub", sub, len(missing) * _payload_nbytes(batch[0])
-        )
+            rows[a] = batch[j]
+        engine._note_derived(u, rows, len(missing) * _payload_nbytes(batch[0]))
         return batch
-
-    def _sub_row(self, first_hop: int) -> Row:
-        engine = self.engine
-        if self.fast_batch and engine._np_traversal:
-            # Build the penalty-substituted target slice straight from the
-            # env row, skipping the O(n) through-row list entirely: the
-            # through value of each target is the same single IEEE sum
-            # (`l(u, a) + d`), and the penalty substitution the same
-            # elementwise test, so the slice is bit-identical to the list
-            # path.
-            env = engine.env_row(self.u, first_hop)
-            row = self._length_row[first_hop] + env[self._target_index()]
-            row[_np.isinf(row)] = self.penalty
-            self._sub[first_hop] = row
-            engine._note_derived_row(self.u, "sub", self._sub, row)
-            return row
-        through = self._through_row(first_hop)
-        penalty = self.penalty
-        inf = math.inf
-        row = [d if d < inf else penalty for d in map(through.__getitem__, self.targets)]
-        if self.fast_batch:
-            row = _np.array(row)
-        self._sub[first_hop] = row
-        self.engine._note_derived_row(self.u, "sub", self._sub, row)
-        return row
 
     def score_combinations(self, candidates: List[int], size: int):
         """Score every size-``size`` combination of ``candidates`` (dense ints).
 
         Returns a read-only numpy vector of costs in ``itertools.combinations``
         order — the exact order :meth:`BBCGame.feasible_strategies` enumerates
-        when :meth:`BBCGame.combination_plan` applies.  Only valid on
-        ``fast_batch`` scorers (exact integer-valued sums), where the
+        when :meth:`BBCGame.combination_plan` applies.  Only valid on batch
+        nodes' scorers (``fast_batch``: exact integer-valued sums), where the
         vectorised reduction is bit-identical to scoring one by one.  Like the
         scorer itself, the returned vector is only valid until the engine
         syncs to another profile: it views the engine's cached buffer, which
@@ -1726,24 +1686,19 @@ class StrategyScorer:
         cached = engine._combo_cache.get(self.u)
         if cached is not None and cached[0] == self._version and cached[1] == key:
             return _readonly_view(cached[2])
-        sub = self._sub
-        missing = [a for a in candidates if a not in sub]
-        engine.prefetch_env_rows(self.u, iter(missing))
-        batch = self._build_sub_rows(missing)
-        if batch is not None and len(missing) == len(candidates):
+        derived = self._rows
+        missing = [a for a in candidates if a not in derived]
+        engine.prefetch_env_rows(self.u, missing)
+        if missing and len(missing) == len(candidates):
             # Every candidate was missing, so the batch rows are already the
             # combination matrix in candidate order — no re-stack.
-            matrix = batch
+            matrix = self._batch_rows(missing)
         else:
-            rows = []
-            for a in candidates:
-                row = sub.get(a)
-                if row is None:
-                    row = self._sub_row(a)
-                rows.append(row)
-            if not rows:
+            if missing:
+                self._batch_rows(missing)
+            if not candidates:
                 return _np.empty(0)
-            matrix = _np.stack(rows)
+            matrix = _np.stack([derived[a] for a in candidates])
         if size == 1:
             costs = matrix.sum(axis=1)
         else:
@@ -1769,45 +1724,27 @@ class StrategyScorer:
         """Return the node's cost for a strategy given as dense int ids."""
         if self._version != self.engine.version:
             raise InvalidProfile("scorer is stale: the engine synced to a new profile")
-        if self.fast_sum:
-            sub = self._sub
-            strategy = list(strategy)
-            if self.engine._np_traversal:
-                missing = list(
-                    dict.fromkeys(a for a in strategy if a not in sub)
-                )
-                self.engine.prefetch_env_rows(self.u, iter(missing))
-                self._build_sub_rows(missing)
-            rows = []
-            for a in strategy:
-                row = sub.get(a)
-                if row is None:
-                    row = self._sub_row(a)
-                rows.append(row)
-            num_rows = len(rows)
-            if num_rows == 0:
-                total = 0.0
-                for w in self.weights:
-                    total += w * self.penalty
-                return total
-            if self.fast_batch:
-                if num_rows == 2:
-                    return float(_np.minimum(rows[0], rows[1]).sum())
-                if num_rows == 1:
-                    return float(rows[0].sum())
-                return float(_np.minimum.reduce(rows).sum())
-            if num_rows == 2:
-                return sum(map(min, rows[0], rows[1]))
-            if num_rows == 1:
-                return sum(rows[0])
-            return sum(map(min, *rows))
-        through = self._through
+        derived = self._rows
         rows = []
-        for a in strategy:
-            row = through.get(a)
-            if row is None:
-                row = self._through_row(a)
-            rows.append(row)
+        if self.fast_batch:
+            strategy = list(strategy)
+            missing = [a for a in dict.fromkeys(strategy) if a not in derived]
+            self.engine.prefetch_env_rows(self.u, missing)
+            if missing:
+                self._batch_rows(missing)
+            if len(strategy) == 2:
+                return float(_np.minimum(derived[strategy[0]], derived[strategy[1]]).sum())
+            if len(strategy) == 1:
+                return float(derived[strategy[0]].sum())
+            if strategy:
+                return float(_np.minimum.reduce([derived[a] for a in strategy]).sum())
+            # The empty strategy scores on the loops below.
+        else:
+            for a in strategy:
+                row = derived.get(a)
+                if row is None:
+                    row = self._through_row(a)
+                rows.append(row)
         targets = self.targets
         weights = self.weights
         penalty = self.penalty

@@ -21,11 +21,6 @@ from typing import Dict, Hashable, List, Tuple
 from ..core.game import BBCGame
 from ..core.objectives import Objective
 
-try:  # Optional array backend; list materialisations below never need it.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on the minimal CI leg
-    _np = None
-
 Node = Hashable
 
 
@@ -48,7 +43,6 @@ class IndexedGame:
         "integral_lengths",
         "identity_labels",
         "unit_weight_nodes",
-        "_length_matrix",
     )
 
     def __init__(self, game: BBCGame, *, tables=None) -> None:
@@ -76,8 +70,8 @@ class IndexedGame:
         # A simple path has at most n-1 edges, so every finite distance is at
         # most (n-1) * max length.  When the disconnection penalty is at least
         # that (every default game: M = 10 n * max length), substituting the
-        # penalty for `inf` commutes with `min` exactly — the licence for the
-        # scorer's C-level fast path over penalty-substituted rows.
+        # penalty for `inf` commutes with `min` exactly — one licence for the
+        # scorer's batch nodes, which reduce penalty-substituted rows.
         self.penalty_dominates = self.penalty >= (self.n - 1) * self.unit_length
 
         self.length_rows: List[List[float]] = []
@@ -150,13 +144,9 @@ class IndexedGame:
         if adopt:
             # Licence flags travel verbatim with the exported tables: the
             # exporter computed them from these exact rows, so recomputing
-            # here could only agree (or waste an O(n^2) rescan).  An
-            # array-mode export also donates its dense length matrix — a
-            # read-only view over the shared segment, which the repair
-            # kernels only ever index.
+            # here could only agree (or waste an O(n^2) rescan).
             self.integral_lengths = tables.integral_lengths
             self.exact_sums = tables.exact_sums
-            self._length_matrix = tables.length_matrix
             return
         self.integral_lengths = (
             lengths_integral and (self.n - 1) * self.unit_length <= 2.0**53
@@ -172,24 +162,6 @@ class IndexedGame:
             and self.n * max(self.penalty, (self.n - 1) * self.unit_length) <= 2.0**53
             and lengths_integral
         )
-        # Dense float64 view of `length_rows`, materialised on first use by
-        # the numpy repair kernels (old-row reconstruction and boundary
-        # in-edges index it as `matrix[p, v]`).
-        self._length_matrix = None
-
-    def length_matrix(self):
-        """Return the dense ``n x n`` float64 link-length matrix (lazy, cached).
-
-        The numpy traversal backend's repair kernels read static arc lengths
-        by fancy indexing; the matrix is one ``np.asarray`` over the list
-        rows, built at most once per game.  Raises ``RuntimeError`` without
-        numpy — callers gate on the backend, which already requires it.
-        """
-        if _np is None:  # pragma: no cover - numpy-backend callers only
-            raise RuntimeError("IndexedGame.length_matrix requires numpy")
-        if self._length_matrix is None:
-            self._length_matrix = _np.asarray(self.length_rows, dtype=_np.float64)
-        return self._length_matrix
 
     def to_ints(self, labels) -> List[int]:
         """Map an iterable of node labels to their dense int ids."""

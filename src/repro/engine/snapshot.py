@@ -261,10 +261,6 @@ class SnapshotTables:
     target_weight_rows: Optional[List[List[float]]] = None
     unit_weight_nodes: Optional[List[bool]] = None
     uses_arrays: bool = False
-    #: Restore-side only (never pickled as set): the dense float64 length
-    #: matrix as a read-only zero-copy view over the shared segment, adopted
-    #: straight into ``IndexedGame._length_matrix``.
-    length_matrix: Any = None
 
 
 #: Names of the shared-segment arrays an array-mode table export produces.
@@ -330,8 +326,7 @@ def restore_tables(
     the parent's (float64 byte round trips are exact), ready for
     ``IndexedGame(game, tables=...)``; ``None`` (or a ``compact`` marker)
     means the worker should construct normally.  Array-mode payloads are
-    materialised with ``tolist()`` here — the adopted dense length matrix
-    itself stays a zero-copy view (see ``IndexedGame``).
+    materialised with ``tolist()`` here.
     """
     if tables is None or tables.compact:
         return tables
@@ -339,7 +334,7 @@ def restore_tables(
         return tables
     if _np is None:  # pragma: no cover - fork pool mirrors parent's numpy
         raise RuntimeError("array-mode SnapshotTables require numpy")
-    matrix = arrays["tables.lengths"]
+    lengths = arrays["tables.lengths"]
     tindptr = arrays["tables.tindptr"].tolist()
     tindices = arrays["tables.tindices"].tolist()
     tweights = arrays["tables.tweights"].tolist()
@@ -354,11 +349,10 @@ def restore_tables(
         compact=False,
         integral_lengths=tables.integral_lengths,
         exact_sums=tables.exact_sums,
-        length_rows=[row.tolist() for row in matrix],
+        length_rows=[row.tolist() for row in lengths],
         target_rows=target_rows,
         target_weight_rows=target_weight_rows,
         unit_weight_nodes=list(tables.unit_weight_nodes),
-        length_matrix=matrix,
     )
 
 

@@ -457,6 +457,86 @@ def test_walk_parity_engine_vs_reference():
     assert [s.new_cost for s in routed.steps] == [s.new_cost for s in reference.steps]
 
 
+def test_sum_aggregate_adds_left_to_right():
+    # Ten 0.1s added left to right; the builtin sum() compensates since
+    # Python 3.12 and would return 1.0, unlike the engine's scoring loops.
+    assert Objective.SUM.aggregate({i: 0.1 for i in range(10)}) == 0.9999999999999999
+
+
+def inexact_game(seed, n, unit_weights):
+    """A game whose lengths (and weights) make every float sum round."""
+    rng = random.Random(seed)
+    lengths, weights = {}, {}
+    for u in range(n):
+        for v in range(n):
+            if u != v:
+                lengths[(u, v)] = rng.choice([0.1, 0.2, 0.7, 1.3])
+                if not unit_weights:
+                    weights[(u, v)] = rng.choice([0.3, 1.0, 2.7])
+    return BBCGame(
+        nodes=range(n), link_lengths=lengths, weights=weights, default_budget=2.0
+    )
+
+
+@pytest.mark.parametrize("backend", ["python", "numpy"])
+@pytest.mark.parametrize("unit_weights", [True, False], ids=["unit", "weighted"])
+@pytest.mark.parametrize("n", [10, 20])
+def test_parity_on_inexact_sums(n, unit_weights, backend):
+    if backend == "numpy":
+        pytest.importorskip("numpy")
+    rng = random.Random(n)
+    game = inexact_game(n, n, unit_weights)
+    for seed in (0, 1):
+        profile = random_profile(game, seed=seed)
+        engine = CostEngine(game, backend=backend)
+        assert game.all_costs(profile, engine=engine) == game.all_costs(
+            profile, engine=False
+        )
+        for node in game.nodes:
+            oracle = DeviationOracle(game, profile, node)
+            others = [v for v in game.nodes if v != node]
+            for _ in range(4):
+                strategy = frozenset(rng.sample(others, rng.randint(0, 3)))
+                assert engine.cost_of(node, strategy) == oracle.cost_of(strategy)
+            assert_result_parity(
+                best_response(game, profile, node, engine=False),
+                best_response(game, profile, node, engine=engine),
+            )
+
+
+def test_list_backend_batch_node_caches_one_derived_row_per_first_hop():
+    # n >= 17: every node has at least 16 targets, so on a uniform game every
+    # node is a batch node (numpy importable), here served by the list kernels.
+    pytest.importorskip("numpy")
+    game = UniformBBCGame(17, 2)
+    profile = random_profile(game, seed=3)
+    engine = CostEngine(game, backend="python")
+    for node in game.nodes:
+        assert_result_parity(
+            best_response(game, profile, node, engine=False),
+            best_response(game, profile, node, engine=engine),
+        )
+    for u in game.nodes:
+        assert engine.scorer(u).fast_batch
+        rows_per_cache = [
+            len(cache[u][1]) for cache in engine._row_caches() if u in cache
+        ]
+        # env row + exact hop row + one derived row per probed first hop.
+        assert rows_per_cache == [game.num_nodes - 1] * 3
+        derived = engine.derived_rows(u)
+        assert all(len(row) == len(engine.indexed.target_rows[u]) for row in derived.values())
+    assert engine.cache_bytes() == _cached_byte_total(engine)
+    # A single deviation repairs the batch slices in place, bit-identically.
+    deviated = profile.with_strategy(3, frozenset({0, 1}))
+    for node in game.nodes:
+        assert_result_parity(
+            best_response(game, deviated, node, engine=False),
+            best_response(game, deviated, node, engine=engine),
+        )
+    assert engine.stats["rows_repaired"] > 0
+    assert engine.cache_bytes() == _cached_byte_total(engine)
+
+
 # --------------------------------------------------------------------- #
 # Version-stamp invalidation contract
 # --------------------------------------------------------------------- #
@@ -550,12 +630,7 @@ def _cached_byte_total(engine):
 
     return sum(
         _payload_nbytes(row)
-        for cache in (
-            engine._env_cache,
-            engine._through_cache,
-            engine._sub_cache,
-            engine._hop_cache,
-        )
+        for cache in (engine._env_cache, engine._derived_cache, engine._hop_cache)
         for _, rows in cache.values()
         for row in rows.values()
     ) + sum(
@@ -578,8 +653,8 @@ def test_env_row_cache_is_bounded_and_eviction_preserves_correctness():
             best_response(game, profile, node, engine=engine),
         )
         # The budget, plus at most the exempt in-flight node's working set
-        # (env + hop + through + substituted rows for each of 7 first hops).
-        assert engine.cache_bytes() <= 600 + 4 * 7 * 2 * 8 * len(game.nodes)
+        # (env + hop + derived rows for each of 7 first hops).
+        assert engine.cache_bytes() <= 600 + 3 * 7 * 2 * 8 * len(game.nodes)
     assert engine.stats["rows_evicted"] > 0
     assert engine.stats["chunks_evicted"] > 0
     # Re-probing an evicted node recomputes (never stale-patches) its rows.
@@ -657,7 +732,7 @@ def test_eviction_of_live_scorer_dict_does_not_corrupt_the_ledger():
     engine = CostEngine(game)
     engine.sync(profile)
     engine.memory_budget_bytes = 600
-    # Interleave two live scorers so eviction detaches one's through dict
+    # Interleave two live scorers so eviction detaches one's derived dict
     # while it keeps materialising rows.
     scorer_a = engine.scorer(0)
     scorer_b = engine.scorer(1)

@@ -546,6 +546,28 @@ class TestCostEngineDegradation:
             served = engine.env_row(0, 1)
         assert [float(x) for x in served] != clean
 
+    @pytest.mark.skipif(not HAVE_NUMPY, reason="batch nodes require numpy")
+    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    def test_verify_every_guards_batch_node_scoring(self, backend):
+        # n = 17: every node is a batch node, whose scorer derives its rows
+        # from the cached environment rows in one broadcast per batch.
+        game = UniformBBCGame(17, 2)
+        profile = ring_profile(game)
+        reference = CostEngine(game, backend=backend)
+        reference.sync(profile)
+        clean_cost = reference.cost_of(0, [1, 2])
+
+        plan = FaultPlan(rules=(FaultRule(site="engine.row-poison", times=1),))
+        with active_faults(plan):
+            engine = CostEngine(game, backend=backend, verify_every=1)
+            engine.sync(profile)
+            engine.env_row(0, 1)  # fill: the cached copy is poisoned
+            assert engine.scorer(0).fast_batch
+            with pytest.warns(RuntimeWarning, match="self-verification"):
+                cost = engine.cost_of(0, [1, 2])
+        assert cost == clean_cost
+        assert engine.stats["row_verify_failures"] == 1
+
     def test_verify_every_validates_its_argument(self):
         with pytest.raises(ValueError, match="verify_every"):
             CostEngine(UniformBBCGame(4, 1), verify_every=0)

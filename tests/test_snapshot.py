@@ -12,8 +12,7 @@ These tests pin the "Snapshot ownership and lifetime" contract documented in
 * :func:`export_tables` / :func:`restore_tables` ship an ``IndexedGame``'s
   probed static tables bit-exactly, so an adopting engine in a pool worker
   is indistinguishable (``all_costs`` equal on every probed profile) from
-  one that probed locally — including the zero-copy adoption of the dense
-  length matrix on the array path.
+  one that probed locally.
 """
 
 import random
@@ -220,23 +219,6 @@ class TestTableExport:
         for shift in (1, 2, 3):
             profile = ring_profile(game, shift=shift)
             assert adopted.all_costs(profile) == reference.all_costs(profile)
-
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="zero-copy path requires numpy")
-    def test_length_matrix_is_adopted_zero_copy(self):
-        game = weighted_game(13)
-        probed = IndexedGame(game)
-        tables, arrays = export_tables(probed)
-        obj, shipped = unpack_payload(pack_payload(tables, arrays))
-        restored = restore_tables(obj, shipped)
-        assert restored.length_matrix is shipped["tables.lengths"]
-        assert not restored.length_matrix.flags.writeable
-        adopted = IndexedGame(game, tables=restored)
-        # The adopted game's dense matrix *is* the shared-segment view — no
-        # private copy is ever materialised.
-        assert adopted.length_matrix() is shipped["tables.lengths"]
-        assert adopted.length_matrix().tolist() == [
-            list(row) for row in probed.length_rows
-        ]
 
     def test_adoption_rejects_a_foreign_node_set(self):
         tables, _ = export_tables(IndexedGame(weighted_game(5, n=5)))
